@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-race cover bench bench-report bench-smoke cluster-smoke ingest-smoke experiments examples fuzz clean
+.PHONY: all build vet test test-race cover bench bench-report cluster-smoke ingest-smoke experiments examples fuzz clean
 
 all: build vet test
 
@@ -26,27 +26,11 @@ cover:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Regenerate the checked-in BENCH_*.json run summaries (both backends plus
-# the adaptive cost model, full size) and print the comparisons. Run on an
-# otherwise idle machine.
+# Regenerate the checked-in BENCH_baseline.json run summary (full size).
+# Run on an otherwise idle machine. CI checks every push's answer digests
+# against this file.
 bench-report:
-	$(GO) run ./cmd/wlq-bench -suite -backend row -json BENCH_baseline.json
-	$(GO) run ./cmd/wlq-bench -suite -backend columnar -json BENCH_columnar.json
-	$(GO) run ./cmd/wlq-bench -suite -backend columnar -adaptive -json BENCH_adaptive.json
-	$(GO) run ./cmd/wlq-bench -compare BENCH_baseline.json,BENCH_columnar.json
-	$(GO) run ./cmd/wlq-bench -compare BENCH_columnar.json,BENCH_adaptive.json
-
-# Fast answer check: run the suite on a small log for both backends, with
-# and without the adaptive cost model, and fail if any answer digests
-# diverge from the row-backend static baseline. CI runs this on every push.
-bench-smoke:
-	$(GO) run ./cmd/wlq-bench -suite -quick -backend row -json /tmp/wlq-bench-row.json
-	$(GO) run ./cmd/wlq-bench -suite -quick -backend columnar -json /tmp/wlq-bench-columnar.json
-	$(GO) run ./cmd/wlq-bench -suite -quick -backend row -adaptive -json /tmp/wlq-bench-row-adaptive.json
-	$(GO) run ./cmd/wlq-bench -suite -quick -backend columnar -adaptive -json /tmp/wlq-bench-columnar-adaptive.json
-	$(GO) run ./cmd/wlq-bench -compare /tmp/wlq-bench-row.json,/tmp/wlq-bench-columnar.json
-	$(GO) run ./cmd/wlq-bench -compare /tmp/wlq-bench-row.json,/tmp/wlq-bench-row-adaptive.json
-	$(GO) run ./cmd/wlq-bench -compare /tmp/wlq-bench-row.json,/tmp/wlq-bench-columnar-adaptive.json
+	$(GO) run ./cmd/wlq-bench -suite -json BENCH_baseline.json
 
 # Multi-process cluster smoke: coordinator + 3 workers on loopback, one
 # killed mid-run (206 + completeness), rejoined (digest-equal 200). CI runs

@@ -10,12 +10,12 @@
 //	wlq-bench -exp lemma1-choice   # ... or by name
 //	wlq-bench -list           # list experiments
 //
-// The backend suite produces the checked-in BENCH_*.json run summaries
-// (see the Benchmarks section of README.md):
+// The bench suite produces the checked-in BENCH_baseline.json run summary
+// (see the Benchmarks section of README.md), and -compare checks a fresh
+// run's answer digests against it:
 //
-//	wlq-bench -suite -backend row -json BENCH_baseline.json
-//	wlq-bench -suite -backend columnar -json BENCH_columnar.json
-//	wlq-bench -compare BENCH_baseline.json,BENCH_columnar.json
+//	wlq-bench -suite -json /tmp/wlq-bench.json
+//	wlq-bench -compare BENCH_baseline.json,/tmp/wlq-bench.json
 package main
 
 import (
@@ -44,9 +44,7 @@ func run(args []string, out io.Writer) error {
 		quick = fs.Bool("quick", false, "shrink sweeps for a fast smoke run")
 		list  = fs.Bool("list", false, "list experiments and exit")
 
-		suite     = fs.Bool("suite", false, "run the backend bench suite instead of the experiments")
-		backend   = fs.String("backend", "row", "with -suite: storage backend, row or columnar")
-		adaptive  = fs.Bool("adaptive", false, "with -suite: rank plans with measured selectivities fed back from earlier benches")
+		suite     = fs.Bool("suite", false, "run the bench suite instead of the experiments")
 		jsonPath  = fs.String("json", "", "with -suite: write the machine-readable run summary to this path")
 		instances = fs.Int("instances", 1500, "with -suite: clinic log size (workflow instances)")
 		seed      = fs.Int64("seed", 42, "with -suite: clinic log generation seed")
@@ -67,7 +65,7 @@ func run(args []string, out io.Writer) error {
 		if *quick {
 			n = 150
 		}
-		return runSuite(out, *backend, *jsonPath, n, *seed, *adaptive)
+		return runSuite(out, *jsonPath, n, *seed)
 	}
 	if *list {
 		rows := [][]string{{"id", "name", "reproduces"}}

@@ -8,14 +8,13 @@ import (
 	"wlq/internal/benchkit"
 )
 
-// The backend suite: a fixed set of queries over a generated clinic log,
-// measured per backend and emitted as a benchkit.Report. The queries lean
-// atomic-heavy on purpose — single atoms and two-atom operators are where
-// the columnar posting lists pay off — with a few composite plans so
-// regressions in the join loops are visible too. The count/* and exists/*
-// benches answer without materializing incident sets, so they measure the
-// storage probe and join arithmetic directly; the incident-mode benches
-// include materialization, which is backend-independent and dominates on
+// The bench suite: a fixed set of queries over a generated clinic log,
+// measured and emitted as a benchkit.Report. The queries lean atomic-heavy
+// — single atoms and two-atom operators exercise the index probes — with a
+// few composite plans so regressions in the join loops are visible too. The
+// count/* and exists/* benches answer without materializing incident sets,
+// so they measure the index probe and join arithmetic directly; the
+// incident-mode benches include materialization, which dominates on
 // high-cardinality results.
 const (
 	modeIncidents = "incidents"
@@ -45,32 +44,16 @@ var suiteBenches = []struct {
 	{"exists/absent", "NoSuchActivity -> SeeDoctor", modeExists},
 }
 
-// runSuite measures every suite query on one backend and writes the report
-// (and a human-readable table to out). With adaptive, a fresh statistics
-// registry rides along: the warm-up run of each bench feeds it measured
-// selectivities, so later benches may be planned adaptively — the digest
-// gate proves answers stay identical either way.
-func runSuite(out io.Writer, backend, jsonPath string, instances int, seed int64, adaptive bool) error {
-	var opts []wlq.Option
-	switch backend {
-	case "row":
-	case "columnar":
-		opts = append(opts, wlq.WithColumnar())
-	default:
-		return fmt.Errorf("unknown backend %q (want row or columnar)", backend)
-	}
-	label := backend
-	if adaptive {
-		opts = append(opts, wlq.WithStats(wlq.NewStatsRegistry()))
-		label += "+adaptive"
-	}
+// runSuite measures every suite query and writes the report (and a
+// human-readable table to out).
+func runSuite(out io.Writer, jsonPath string, instances int, seed int64) error {
 	log, err := wlq.ClinicLog(instances, seed)
 	if err != nil {
 		return err
 	}
-	engine := wlq.NewEngine(log, opts...)
+	engine := wlq.NewEngine(log)
 
-	report := benchkit.NewReport(label, benchkit.LogMeta{
+	report := benchkit.NewReport(benchkit.LogMeta{
 		Source:     "clinic",
 		Instances:  instances,
 		Records:    log.Len(),
@@ -144,8 +127,8 @@ func runSuite(out io.Writer, backend, jsonPath string, instances int, seed int64
 	}
 	report.Finalize()
 
-	fmt.Fprintf(out, "== backend suite: %s (clinic instances=%d seed=%d records=%d) ==\n",
-		label, instances, seed, log.Len())
+	fmt.Fprintf(out, "== bench suite (clinic instances=%d seed=%d records=%d) ==\n",
+		instances, seed, log.Len())
 	fmt.Fprint(out, benchkit.Align(rows))
 	fmt.Fprintf(out, "combined answer digest: %s\n", report.Digest)
 	if jsonPath != "" {
@@ -172,7 +155,7 @@ func compareReports(out io.Writer, pathA, pathB string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "== %s (%s) vs %s (%s) ==\n", pathA, a.Backend, pathB, b.Backend)
+	fmt.Fprintf(out, "== %s vs %s ==\n", pathA, pathB)
 	fmt.Fprint(out, table)
 	fmt.Fprintln(out, "answer digests match")
 	return nil

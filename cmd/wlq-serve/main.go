@@ -84,22 +84,16 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	var logs logFlags
 	fs.Var(&logs, "log", "log to serve, \"<spec>\" or \"<name>=<spec>\" (repeatable)")
 	var (
-		addr     = fs.String("addr", ":8080", "listen address")
-		workers  = fs.Int("workers", 0, "evaluation workers per query (0 = GOMAXPROCS)")
-		cache    = fs.Int("cache", server.DefaultCacheSize, "plan/result cache entries (negative disables)")
-		timeout  = fs.Duration("timeout", server.DefaultTimeout, "per-request evaluation timeout")
-		maxBody  = fs.Int64("max-body", server.DefaultMaxBody, "request body size limit in bytes")
-		naive    = fs.Bool("naive", false, "default to the paper's verbatim Algorithm 1 joins")
-		columnar = fs.Bool("columnar", false,
-			"build every loaded log's backend as the columnar store (interned activities, posting lists)")
+		addr       = fs.String("addr", ":8080", "listen address")
+		workers    = fs.Int("workers", 0, "evaluation workers per query (0 = GOMAXPROCS)")
+		cache      = fs.Int("cache", server.DefaultCacheSize, "plan/result cache entries (negative disables)")
+		timeout    = fs.Duration("timeout", server.DefaultTimeout, "per-request evaluation timeout")
+		maxBody    = fs.Int64("max-body", server.DefaultMaxBody, "request body size limit in bytes")
+		naive      = fs.Bool("naive", false, "default to the paper's verbatim Algorithm 1 joins")
 		drain      = fs.Duration("drain", 10*time.Second, "graceful-shutdown drain window")
 		slow       = fs.Duration("slow-query", 500*time.Millisecond, "warn about queries slower than this (0 disables)")
 		flightSize = fs.Int("flight-recorder-size", server.DefaultFlightRecorderSize,
 			"query flight recorder capacity per ring (recent + notable); 0 or negative disables GET /v1/queries")
-		adaptive = fs.Bool("adaptive", false,
-			"rank plans with measured selectivities aggregated from successful queries (persisted per log as <log>.stats.json)")
-		statsFile = fs.String("stats-file", "",
-			"with -adaptive and exactly one -log: override the selectivity statistics snapshot path")
 		pprofOn = fs.Bool("pprof", true, "expose the GET /debug/pprof/* profiling handlers")
 		logJSON = fs.Bool("log-json", false, "emit request logs as JSON instead of text")
 		noLog   = fs.Bool("no-request-log", false, "disable structured request logging")
@@ -162,14 +156,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if len(logs) == 0 {
 		fs.Usage()
 		return errors.New("missing -log (repeat it to serve several logs)")
-	}
-	if *statsFile != "" {
-		if !*adaptive {
-			return errors.New("-stats-file requires -adaptive")
-		}
-		if len(logs) != 1 {
-			return errors.New("-stats-file requires exactly one -log (per-log defaults apply otherwise)")
-		}
 	}
 
 	// Live ingestion. Validated here, like the cluster flags, so a bad
@@ -241,9 +227,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		ShardAttempts:    *shardAttempts,
 		BreakerThreshold: *breakerThreshold,
 		BreakerCooldown:  *breakerCooldown,
-		Columnar:         *columnar,
-		Adaptive:         *adaptive,
-		StatsFile:        *statsFile,
 		WorkerMode:       *worker,
 		Cluster:          clusterCfg,
 		ProbeInterval:    *probeInterval,

@@ -104,7 +104,7 @@ func DistinctInstances(set *incident.Set) int {
 // the value of the named attribute on the first record (in is-lsn order)
 // that defines it, looking at αout first, then αin. Incidents whose records
 // never define the attribute are excluded.
-func ByAttr(ix eval.Source, attr string) KeyFunc {
+func ByAttr(ix *eval.Index, attr string) KeyFunc {
 	return func(inc incident.Incident) (string, bool) {
 		for _, seq := range inc.Seqs() {
 			rec, ok := ix.Record(inc.WID(), seq)
@@ -127,7 +127,7 @@ func ByAttr(ix eval.Source, attr string) KeyFunc {
 // first record of the instance that defines the attribute supplies the key.
 // This answers groupings like "by the year of the referral" even when the
 // matched incident does not include the GetRefer record itself.
-func ByInstanceAttr(ix eval.Source, attr string) KeyFunc {
+func ByInstanceAttr(ix *eval.Index, attr string) KeyFunc {
 	return func(inc incident.Incident) (string, bool) {
 		for _, rec := range ix.Instance(inc.WID()) {
 			if rec.Out.Has(attr) {
@@ -143,7 +143,7 @@ func ByInstanceAttr(ix eval.Source, attr string) KeyFunc {
 
 // ByActivityOf returns a KeyFunc keyed on the activity name of the
 // incident's i-th record (0-based, in is-lsn order).
-func ByActivityOf(ix eval.Source, i int) KeyFunc {
+func ByActivityOf(ix *eval.Index, i int) KeyFunc {
 	return func(inc incident.Incident) (string, bool) {
 		seqs := inc.Seqs()
 		if i < 0 || i >= len(seqs) {
@@ -178,7 +178,7 @@ func MeanSpan(set *incident.Set) float64 {
 
 // Records materializes an incident back into its log records, in is-lsn
 // order, for display.
-func Records(ix eval.Source, inc incident.Incident) []wlog.Record {
+func Records(ix *eval.Index, inc incident.Incident) []wlog.Record {
 	out := make([]wlog.Record, 0, inc.Len())
 	for _, seq := range inc.Seqs() {
 		if rec, ok := ix.Record(inc.WID(), seq); ok {

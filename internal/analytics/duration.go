@@ -40,7 +40,7 @@ func RecordTime(r wlog.Record) (time.Time, bool) {
 // Duration returns the wall-clock span of an incident: the time of its last
 // record minus the time of its first. ok is false when either endpoint
 // lacks a usable timestamp.
-func Duration(ix eval.Source, inc incident.Incident) (time.Duration, bool) {
+func Duration(ix *eval.Index, inc incident.Incident) (time.Duration, bool) {
 	first, ok1 := ix.Record(inc.WID(), inc.First())
 	last, ok2 := ix.Record(inc.WID(), inc.Last())
 	if !ok1 || !ok2 {
@@ -66,7 +66,7 @@ type DurationStats struct {
 }
 
 // Durations computes duration statistics across an incident set.
-func Durations(ix eval.Source, set *incident.Set) DurationStats {
+func Durations(ix *eval.Index, set *incident.Set) DurationStats {
 	var st DurationStats
 	// Sum in float64: large sets of long spans overflow an int64 nanosecond
 	// accumulator (2⁶³ ns ≈ 292 years total).
@@ -96,7 +96,7 @@ func Durations(ix eval.Source, set *incident.Set) DurationStats {
 // bucketed to multiples of the given width (e.g. time.Hour buckets "2h0m0s
 // ≤ d < 3h0m0s" under key "2h0m0s"). Incidents without timestamps are
 // excluded.
-func ByDurationBucket(ix eval.Source, width time.Duration) KeyFunc {
+func ByDurationBucket(ix *eval.Index, width time.Duration) KeyFunc {
 	return func(inc incident.Incident) (string, bool) {
 		d, ok := Duration(ix, inc)
 		if !ok || width <= 0 {
@@ -108,7 +108,7 @@ func ByDurationBucket(ix eval.Source, width time.Duration) KeyFunc {
 
 // WithinDuration returns the subset of incidents whose wall-clock span is
 // at most max. Incidents without usable timestamps are excluded.
-func WithinDuration(ix eval.Source, set *incident.Set, max time.Duration) *incident.Set {
+func WithinDuration(ix *eval.Index, set *incident.Set, max time.Duration) *incident.Set {
 	var kept []incident.Incident
 	for _, inc := range set.Incidents() {
 		if d, ok := Duration(ix, inc); ok && d <= max {

@@ -17,13 +17,12 @@ const ReportSchema = "wlq-bench/v1"
 // Report is one wlq-bench run in machine-readable form — the format behind
 // the checked-in BENCH_*.json files. Two reports from the same machine and
 // log configuration are directly comparable: per-bench ns/op for the perf
-// trajectory, and per-bench answer digests for cross-backend correctness
-// (CI fails when the columnar backend's digests differ from the row
-// backend's).
+// trajectory, and per-bench answer digests for correctness (CI fails when a
+// fresh run's digests differ from the checked-in BENCH_baseline.json).
 type Report struct {
 	Schema     string      `json:"schema"`
 	Tool       string      `json:"tool"`
-	Backend    string      `json:"backend"` // "row" or "columnar"
+	Backend    string      `json:"backend"` // always "row": the storage label older reports carry
 	CreatedAt  time.Time   `json:"created_at"`
 	GoVersion  string      `json:"go_version"`
 	GOOS       string      `json:"goos"`
@@ -58,11 +57,11 @@ type BenchItem struct {
 }
 
 // NewReport stamps the environment fields.
-func NewReport(backend string, log LogMeta) *Report {
+func NewReport(log LogMeta) *Report {
 	return &Report{
 		Schema:     ReportSchema,
 		Tool:       "wlq-bench",
-		Backend:    backend,
+		Backend:    "row",
 		CreatedAt:  time.Now().UTC().Truncate(time.Second),
 		GoVersion:  runtime.Version(),
 		GOOS:       runtime.GOOS,
@@ -121,7 +120,7 @@ func ReadReport(path string) (*Report, error) {
 // CompareReports checks that two runs answered identically and renders a
 // per-bench speedup table (a over b, so "2.00x" means b ran twice as fast).
 // It returns an error on any digest or workload mismatch — the signal CI's
-// bench-smoke step trips on.
+// bench-suite digest step trips on.
 func CompareReports(a, b *Report) (string, error) {
 	if a.Log != b.Log {
 		return "", fmt.Errorf("benchkit: workloads differ: %+v vs %+v", a.Log, b.Log)
@@ -129,15 +128,15 @@ func CompareReports(a, b *Report) (string, error) {
 	if len(a.Benches) != len(b.Benches) {
 		return "", fmt.Errorf("benchkit: bench counts differ: %d vs %d", len(a.Benches), len(b.Benches))
 	}
-	rows := [][]string{{"bench", a.Backend, b.Backend, "speedup", "incidents"}}
+	rows := [][]string{{"bench", "a", "b", "speedup", "incidents"}}
 	for i, ab := range a.Benches {
 		bb := b.Benches[i]
 		if ab.Name != bb.Name {
 			return "", fmt.Errorf("benchkit: bench %d named %q vs %q", i, ab.Name, bb.Name)
 		}
 		if ab.Digest != bb.Digest {
-			return "", fmt.Errorf("benchkit: answers differ on %q: digest %s (%s) vs %s (%s)",
-				ab.Name, ab.Digest, a.Backend, bb.Digest, b.Backend)
+			return "", fmt.Errorf("benchkit: answers differ on %q: digest %s vs %s",
+				ab.Name, ab.Digest, bb.Digest)
 		}
 		speedup := "-"
 		if bb.NsPerOp > 0 {

@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-func sampleReport(backend string, ns int64) *Report {
-	r := NewReport(backend, LogMeta{Source: "clinic", Instances: 10, Records: 100, Activities: 8, Seed: 1})
+func sampleReport(ns int64) *Report {
+	r := NewReport(LogMeta{Source: "clinic", Instances: 10, Records: 100, Activities: 8, Seed: 1})
 	r.Benches = []BenchItem{
 		{Name: "atom", Query: "A", NsPerOp: ns, Incidents: 3, Digest: Digest("{(1;2)}")},
 		{Name: "seq", Query: "A -> B", NsPerOp: ns * 2, Incidents: 1, Digest: Digest("{(1;2,3)}")},
@@ -18,7 +18,7 @@ func sampleReport(backend string, ns int64) *Report {
 
 func TestReportRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "r.json")
-	want := sampleReport("row", 1000)
+	want := sampleReport(1000)
 	if err := WriteReport(path, want); err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestReportRoundTrip(t *testing.T) {
 }
 
 func TestCompareReportsAgreeing(t *testing.T) {
-	a, b := sampleReport("row", 2000), sampleReport("columnar", 1000)
+	a, b := sampleReport(2000), sampleReport(1000)
 	table, err := CompareReports(a, b)
 	if err != nil {
 		t.Fatal(err)
@@ -46,7 +46,7 @@ func TestCompareReportsAgreeing(t *testing.T) {
 }
 
 func TestCompareReportsDigestMismatch(t *testing.T) {
-	a, b := sampleReport("row", 1000), sampleReport("columnar", 1000)
+	a, b := sampleReport(1000), sampleReport(1000)
 	b.Benches[1].Digest = Digest("{(9;9,9)}")
 	b.Finalize()
 	if _, err := CompareReports(a, b); err == nil {
@@ -55,7 +55,7 @@ func TestCompareReportsDigestMismatch(t *testing.T) {
 }
 
 func TestCompareReportsWorkloadMismatch(t *testing.T) {
-	a, b := sampleReport("row", 1000), sampleReport("columnar", 1000)
+	a, b := sampleReport(1000), sampleReport(1000)
 	b.Log.Seed = 2
 	if _, err := CompareReports(a, b); err == nil {
 		t.Fatal("differing workloads not detected")

@@ -155,7 +155,7 @@ type Coordinator struct {
 	ring    *Ring
 	client  *http.Client
 	workers []*workerState
-	hists   map[string]*durationHist
+	hists   map[string]*obs.Histogram
 
 	fanouts        atomic.Uint64
 	workerRequests atomic.Uint64
@@ -183,14 +183,14 @@ func New(cfg Config) (*Coordinator, error) {
 		seen[w] = true
 	}
 	workers := make([]*workerState, len(cfg.Workers))
-	hists := make(map[string]*durationHist, len(cfg.Workers))
+	hists := make(map[string]*obs.Histogram, len(cfg.Workers))
 	for i, name := range cfg.Workers {
 		workers[i] = &workerState{
 			name:    name,
 			breaker: shard.NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
 			healthy: true, // optimistic until a probe or request says otherwise
 		}
-		hists[name] = newDurationHist()
+		hists[name] = obs.NewHistogram(DurationBucketsUS)
 	}
 	return &Coordinator{
 		cfg:  cfg,
@@ -278,7 +278,7 @@ type WorkerCall struct {
 // ExecOptions parameterizes one distributed execution.
 type ExecOptions struct {
 	// WIDs is the full ascending wid list of the log (the coordinator's
-	// local backend supplies it; placement partitions it over the ring).
+	// local index supplies it; placement partitions it over the ring).
 	WIDs []uint64
 	// Strategy optionally names the join implementation for the workers.
 	Strategy string
@@ -679,7 +679,7 @@ func (c *Coordinator) post(ctx context.Context, worker string, body []byte, trac
 	start := time.Now()
 	defer func() {
 		if h := c.hists[worker]; h != nil {
-			h.observe(time.Since(start))
+			h.Observe(time.Since(start))
 		}
 	}()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,

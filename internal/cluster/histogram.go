@@ -1,14 +1,9 @@
 package cluster
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "wlq/internal/obs"
 
 // Per-worker request-duration histograms backing the
-// wlq_worker_query_duration_seconds metric. Buckets are fixed at
-// construction so observation is a single atomic increment on the hot
-// path; the server renders them as cumulative Prometheus buckets.
+// wlq_worker_query_duration_seconds metric.
 
 // DurationBucketsUS are the per-worker histogram bucket upper bounds in
 // microseconds (an overflow bucket catches everything beyond the last).
@@ -17,36 +12,11 @@ var DurationBucketsUS = []int64{
 	250_000, 500_000, 1_000_000, 2_500_000, 5_000_000,
 }
 
-// durationHist is one worker's request-duration histogram.
-type durationHist struct {
-	buckets []atomic.Uint64 // len(DurationBucketsUS)+1, last = overflow
-	count   atomic.Uint64
-	sumUS   atomic.Int64
-}
-
-func newDurationHist() *durationHist {
-	return &durationHist{buckets: make([]atomic.Uint64, len(DurationBucketsUS)+1)}
-}
-
-// observe records one request round trip.
-func (h *durationHist) observe(d time.Duration) {
-	us := int64(d / time.Microsecond)
-	i := 0
-	for i < len(DurationBucketsUS) && us > DurationBucketsUS[i] {
-		i++
-	}
-	h.buckets[i].Add(1)
-	h.count.Add(1)
-	h.sumUS.Add(us)
-}
-
 // WorkerDurations is one worker's histogram snapshot: raw (non-cumulative)
 // per-bucket counts aligned with DurationBucketsUS plus one overflow slot.
 type WorkerDurations struct {
-	Worker  string   `json:"worker"`
-	Buckets []uint64 `json:"buckets"`
-	Count   uint64   `json:"count"`
-	SumUS   int64    `json:"sum_us"`
+	Worker string `json:"worker"`
+	obs.HistogramSnapshot
 }
 
 // Durations snapshots every worker's request-duration histogram, in
@@ -54,17 +24,7 @@ type WorkerDurations struct {
 func (c *Coordinator) Durations() []WorkerDurations {
 	out := make([]WorkerDurations, 0, len(c.workers))
 	for _, w := range c.workers {
-		h := c.hists[w.name]
-		s := WorkerDurations{
-			Worker:  w.name,
-			Buckets: make([]uint64, len(h.buckets)),
-			Count:   h.count.Load(),
-			SumUS:   h.sumUS.Load(),
-		}
-		for i := range h.buckets {
-			s.Buckets[i] = h.buckets[i].Load()
-		}
-		out = append(out, s)
+		out = append(out, WorkerDurations{Worker: w.name, HistogramSnapshot: c.hists[w.name].Snapshot()})
 	}
 	return out
 }

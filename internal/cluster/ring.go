@@ -9,11 +9,11 @@
 //
 // Definition 4 makes incident semantics strictly per-instance, so the
 // distribution is exact: no cross-worker joins exist, and each worker
-// evaluates its owned wid set against its local backend (row or columnar)
-// independently. What the network tier adds over in-process shards is real
-// failure independence — a worker process can die, hang, or partition
-// without taking the coordinator's process down — paid for with the full
-// set of network-robustness machinery:
+// evaluates its owned wid set against its local index independently. What
+// the network tier adds over in-process shards is real failure independence
+// — a worker process can die, hang, or partition without taking the
+// coordinator's process down — paid for with the full set of
+// network-robustness machinery:
 //
 //   - per-worker attempt timeouts and capped-exponential retry with jitter
 //     (reusing shard.Backoff);

@@ -106,7 +106,7 @@ func TestBindingsAgreeWithVerify(t *testing.T) {
 			// Every bound atom must individually match its record.
 			atoms := pattern.Atoms(p)
 			for idx, seq := range bindings {
-				rec, ok := e.Source().Record(inc.WID(), seq)
+				rec, ok := e.Index().Record(inc.WID(), seq)
 				if !ok {
 					t.Fatalf("trial %d: bound record missing", trial)
 				}

@@ -20,14 +20,14 @@ func (e *Evaluator) Count(p pattern.Node) int {
 		ra, rok := b.Right.(*pattern.Atom)
 		if lok && rok && e.opts.Limit == 0 {
 			total := 0
-			for _, wid := range e.src.WIDs() {
+			for _, wid := range e.ix.WIDs() {
 				total += e.countAtomicPair(b.Op, la, ra, wid)
 			}
 			return total
 		}
 	}
 	total := 0
-	for _, wid := range e.src.WIDs() {
+	for _, wid := range e.ix.WIDs() {
 		total += len(e.evalWID(p, wid, nil))
 	}
 	return total
@@ -37,10 +37,10 @@ func (e *Evaluator) Count(p pattern.Node) int {
 // instance (guards applied).
 func (e *Evaluator) atomSeqs(a *pattern.Atom, wid uint64) []uint64 {
 	if !a.Negated && len(a.Guards) == 0 {
-		return e.atomPostings(a, wid)
+		return e.ix.ActivitySeqs(wid, a.Activity)
 	}
 	var out []uint64
-	for _, rec := range e.src.Instance(wid) {
+	for _, rec := range e.ix.Instance(wid) {
 		match := rec.Activity == a.Activity
 		if a.Negated {
 			match = !match

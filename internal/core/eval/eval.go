@@ -2,7 +2,6 @@ package eval
 
 import (
 	"fmt"
-	"sync"
 
 	"wlq/internal/core/incident"
 	"wlq/internal/core/pattern"
@@ -59,45 +58,32 @@ type Options struct {
 }
 
 // Evaluator computes incident sets incL(p) over an indexed log, per
-// Algorithm 2: atomic patterns are answered from the backend (row index or
-// columnar posting lists), composite patterns by post-order traversal of
-// the pattern tree, instance by instance (incidents never span workflow
-// instances).
+// Algorithm 2: atomic patterns are answered from the index, composite
+// patterns by post-order traversal of the pattern tree, instance by instance
+// (incidents never span workflow instances).
+//
+// The Index must not change while an Evaluator reads it — the same contract
+// EvalParallel, the result cache and the shard executor rely on.
 type Evaluator struct {
-	src  Source
-	sym  SymbolicSource // non-nil when src interns activity symbols
+	ix   *Index
 	opts Options
-	// atomSyms caches ResolveActivity per atom node (plan nodes are stable
-	// pointers), so a symbolic backend hashes each activity name once per
-	// plan instead of once per (atom, instance) probe. sync.Map: the read
-	// path after warmup is a lock-free pointer-keyed load, safe under
-	// EvalParallel's shared-evaluator workers.
-	atomSyms sync.Map // *pattern.Atom -> atomSym
 }
 
-// atomSym is one memoized symbol resolution.
-type atomSym struct {
-	sym int32
-	ok  bool
-}
-
-// New creates an Evaluator over a log backend: the row *Index, or any other
-// Source implementation such as the columnar internal/colstore.Store.
-func New(src Source, opts Options) *Evaluator {
+// New creates an Evaluator over an indexed log.
+func New(ix *Index, opts Options) *Evaluator {
 	if opts.Strategy == 0 {
 		opts.Strategy = StrategyMerge
 	}
-	sym, _ := src.(SymbolicSource)
-	return &Evaluator{src: src, sym: sym, opts: opts}
+	return &Evaluator{ix: ix, opts: opts}
 }
 
-// Source returns the evaluator's backend.
-func (e *Evaluator) Source() Source { return e.src }
+// Index returns the evaluator's index.
+func (e *Evaluator) Index() *Index { return e.ix }
 
 // Eval computes incL(p): every incident of the pattern in the log.
 func (e *Evaluator) Eval(p pattern.Node) *incident.Set {
 	set := &incident.Set{}
-	for _, wid := range e.src.WIDs() {
+	for _, wid := range e.ix.WIDs() {
 		set.Add(e.evalWID(p, wid, nil)...)
 	}
 	set.Normalize()
@@ -115,7 +101,7 @@ func (e *Evaluator) EvalInstance(p pattern.Node, wid uint64) *incident.Set {
 // incident. This answers the paper's yes/no queries ("are there any
 // students who ...") without enumerating every match.
 func (e *Evaluator) Exists(p pattern.Node) bool {
-	for _, wid := range e.src.WIDs() {
+	for _, wid := range e.ix.WIDs() {
 		if len(e.evalWID(p, wid, nil)) > 0 {
 			return true
 		}
@@ -214,29 +200,7 @@ func (e *Evaluator) applyOp(op pattern.Op, left, right []incident.Incident, cnt 
 	}
 }
 
-// atomPostings answers an atom's is-lsn list from the backend. On a symbolic
-// backend the activity name is resolved to its interned symbol once per
-// plan (memoized per atom node) and each per-instance probe is an
-// integer-keyed posting-list lookup; the row backend probes its per-wid
-// string-keyed map directly.
-func (e *Evaluator) atomPostings(a *pattern.Atom, wid uint64) []uint64 {
-	if e.sym == nil {
-		return e.src.ActivitySeqs(wid, a.Activity)
-	}
-	var as atomSym
-	if v, ok := e.atomSyms.Load(a); ok {
-		as = v.(atomSym)
-	} else {
-		as.sym, as.ok = e.sym.ResolveActivity(a.Activity)
-		e.atomSyms.Store(a, as)
-	}
-	if !as.ok {
-		return nil // activity absent from the log
-	}
-	return e.sym.ActivitySeqsSym(wid, as.sym)
-}
-
-// evalAtom answers an atomic pattern from the backend: for a positive
+// evalAtom answers an atomic pattern from the index: for a positive
 // pattern the is-lsn list of the activity; for a negated pattern the
 // complement within the instance (valid logs have dense is-lsn 1..n, so the
 // complement is computed by a linear merge, not a scan of record contents).
@@ -244,10 +208,10 @@ func (e *Evaluator) atomPostings(a *pattern.Atom, wid uint64) []uint64 {
 func (e *Evaluator) evalAtom(a *pattern.Atom, wid uint64) []incident.Incident {
 	var seqs []uint64
 	if !a.Negated {
-		seqs = e.atomPostings(a, wid)
+		seqs = e.ix.ActivitySeqs(wid, a.Activity)
 	} else {
-		n := uint64(e.src.InstanceLen(wid))
-		excluded := e.atomPostings(a, wid)
+		n := uint64(e.ix.InstanceLen(wid))
+		excluded := e.ix.ActivitySeqs(wid, a.Activity)
 		seqs = make([]uint64, 0, int(n)-len(excluded))
 		j := 0
 		for s := uint64(1); s <= n; s++ {
@@ -261,7 +225,7 @@ func (e *Evaluator) evalAtom(a *pattern.Atom, wid uint64) []incident.Incident {
 	out := make([]incident.Incident, 0, len(seqs))
 	for _, s := range seqs {
 		if len(a.Guards) > 0 {
-			rec, ok := e.src.Record(wid, s)
+			rec, ok := e.ix.Record(wid, s)
 			if !ok || !predicate.MatchAll(a.Guards, rec) {
 				continue
 			}
@@ -279,6 +243,6 @@ func (e *Evaluator) evalAtom(a *pattern.Atom, wid uint64) []incident.Incident {
 
 // EvalSet computes incL(p) for a pattern over a freshly indexed log; a
 // convenience for one-shot queries.
-func EvalSet(src Source, p pattern.Node) *incident.Set {
-	return New(src, Options{}).Eval(p)
+func EvalSet(ix *Index, p pattern.Node) *incident.Set {
+	return New(ix, Options{}).Eval(p)
 }

@@ -57,7 +57,7 @@ func (e *Evaluator) EvalParallel(p pattern.Node, workers int) *incident.Set {
 // so one poisoned query cannot take the process down. stats, when non-nil,
 // is filled in before returning — on both the success and the failure path.
 func (e *Evaluator) EvalParallelCtx(ctx context.Context, p pattern.Node, workers int, stats *QueryStats) (*incident.Set, error) {
-	wids := e.src.WIDs()
+	wids := e.ix.WIDs()
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -161,7 +161,7 @@ func (e *Evaluator) EvalWIDsCtx(ctx context.Context, p pattern.Node, wids []uint
 // per-instance cancellation checks, budget enforcement, panic isolation
 // and stats.
 func (e *Evaluator) evalSerialCtx(ctx context.Context, p pattern.Node, stats *QueryStats, bs *budgetState) (*incident.Set, error) {
-	return e.evalWIDList(ctx, p, e.src.WIDs(), stats, bs)
+	return e.evalWIDList(ctx, p, e.ix.WIDs(), stats, bs)
 }
 
 // evalWIDList is the shared serial evaluation loop over an explicit wid
@@ -198,7 +198,7 @@ func (e *Evaluator) evalWIDList(ctx context.Context, p pattern.Node, wids []uint
 // ExistsParallel is Exists with a parallel scan over instances; it still
 // stops early (workers poll a shared found flag via a closed channel).
 func (e *Evaluator) ExistsParallel(p pattern.Node, workers int) bool {
-	wids := e.src.WIDs()
+	wids := e.ix.WIDs()
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}

@@ -56,7 +56,7 @@ func (e *Evaluator) verify(p pattern.Node, wid uint64, seqs []uint64) bool {
 		if len(seqs) != 1 {
 			return false
 		}
-		rec, ok := e.src.Record(wid, seqs[0])
+		rec, ok := e.ix.Record(wid, seqs[0])
 		if !ok {
 			return false
 		}

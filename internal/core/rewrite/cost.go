@@ -57,10 +57,8 @@ func NewEstimator(stats Stats) *Estimator {
 	return NewEstimatorWith(stats, ModelSelectivities())
 }
 
-// NewEstimatorWith builds an estimator with explicit selectivities — the
-// seam through which measured per-log statistics (internal/stats) replace
-// the assumed constants. Zero-valued selectivity fields fall back to the
-// model constants, so a partially-measured Selectivities is safe.
+// NewEstimatorWith builds an estimator with explicit selectivities.
+// Zero-valued selectivity fields fall back to the model constants.
 func NewEstimatorWith(stats Stats, sel Selectivities) *Estimator {
 	inst := float64(len(stats.WIDs()))
 	if inst < 1 {
@@ -105,8 +103,7 @@ func (e *Estimator) Estimate(p pattern.Node) Estimate {
 //	⊗    : join cost n1·n2·min(k1,k2)
 //	⊕    : join cost n1·n2·(k1+k2)
 //
-// Output cardinalities use the estimator's selectivities (assumed constants
-// or measured values); ⊗ outputs at most n1+n2 (the union), the others at
+// Output cardinalities use the estimator's selectivities; ⊗ outputs at most n1+n2 (the union), the others at
 // most n1·n2.
 func (e *Estimator) Combine(op pattern.Op, l, r Estimate) Estimate {
 	n1, n2 := l.Card, r.Card

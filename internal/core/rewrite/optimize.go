@@ -61,8 +61,8 @@ func Optimize(p pattern.Node, stats Stats) (pattern.Node, Explanation) {
 
 // OptimizeWith is Optimize with explicit selectivities: every cost the
 // passes compare is estimated with sel instead of the model constants, so
-// measured statistics can change which bracketing and operand order win.
-// The rewrite laws applied are identical — only the ranking differs.
+// different selectivities can change which bracketing and operand order
+// win. The rewrite laws applied are identical — only the ranking differs.
 func OptimizeWith(p pattern.Node, stats Stats, sel Selectivities) (pattern.Node, Explanation) {
 	est := NewEstimatorWith(stats, sel)
 	ex := Explanation{Before: est.Cost(p)}

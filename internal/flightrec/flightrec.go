@@ -1,7 +1,7 @@
 // Package flightrec is the query flight recorder: a bounded, concurrency-
 // safe record of recent query executions, kept so an operator can inspect
 // what the engine actually did — full span tree, measured-vs-predicted cost
-// table, plan, backend, outcome — after the fact, without having asked for
+// table, plan, outcome — after the fact, without having asked for
 // a trace up front.
 //
 // The recorder holds two fixed-size rings sharing one id sequence. Every
@@ -59,17 +59,11 @@ type Capture struct {
 	// time (0 for static logs): under live ingestion the generation alone
 	// no longer pins the data a capture saw, the watermark does.
 	IngestLSN uint64 `json:"ingest_lsn,omitempty"`
-	// Backend is the storage engine that served the query: "row" or
-	// "columnar".
-	Backend string `json:"backend,omitempty"`
 	// Query is the pattern as submitted; Canonical its cache key form.
 	Query     string `json:"query"`
 	Canonical string `json:"canonical,omitempty"`
 	// Plan is the optimized pattern the evaluator ran.
 	Plan string `json:"plan,omitempty"`
-	// Planner records which cost model ranked the plan: "adaptive"
-	// (measured selectivities) or "static" (model constants).
-	Planner string `json:"planner,omitempty"`
 	// Status classifies the outcome; HTTPStatus is the code returned.
 	Status     Status `json:"status"`
 	HTTPStatus int    `json:"http_status,omitempty"`

@@ -36,30 +36,28 @@ func openEmpty(t *testing.T, dir string, cfg Config) *Coordinator {
 }
 
 func TestAppendAssignsAndAppliesLSN(t *testing.T) {
-	for _, columnar := range []bool{false, true} {
-		c := openEmpty(t, t.TempDir(), Config{Columnar: columnar})
-		defer c.Close()
-		for i, r := range sampleStream() {
-			r.LSN = 0 // server-assigned
-			lsn, err := c.Append(r)
-			if err != nil {
-				t.Fatalf("columnar=%v Append %d: %v", columnar, i, err)
-			}
-			if lsn != uint64(i+1) {
-				t.Fatalf("columnar=%v assigned lsn %d, want %d", columnar, lsn, i+1)
-			}
-		}
-		set, err := c.Monitor().Query("CheckIn -> SeeDoctor")
+	c := openEmpty(t, t.TempDir(), Config{})
+	defer c.Close()
+	for i, r := range sampleStream() {
+		r.LSN = 0 // server-assigned
+		lsn, err := c.Append(r)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("Append %d: %v", i, err)
 		}
-		if set.Len() != 1 {
-			t.Fatalf("columnar=%v query over appended records: %s", columnar, set)
+		if lsn != uint64(i+1) {
+			t.Fatalf("assigned lsn %d, want %d", lsn, i+1)
 		}
-		st := c.Stats()
-		if st.Accepted != 7 || st.LastLSN != 7 || st.WAL.Appends != 7 {
-			t.Fatalf("stats = %+v", st)
-		}
+	}
+	set, err := c.Monitor().Query("CheckIn -> SeeDoctor")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if set.Len() != 1 {
+		t.Fatalf("query over appended records: %s", set)
+	}
+	st := c.Stats()
+	if st.Accepted != 7 || st.LastLSN != 7 || st.WAL.Appends != 7 {
+		t.Fatalf("stats = %+v", st)
 	}
 }
 

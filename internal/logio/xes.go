@@ -86,8 +86,8 @@ func ImportXES(r io.Reader, opts XESOptions) (*wlog.Log, error) {
 				if a.Key == conceptName {
 					// Trim surrounding whitespace so the activity name is
 					// identical no matter which importer produced it (CSV
-					// already trims) — the row and columnar backends intern
-					// by exact string and must never disagree on identity.
+					// already trims) — the index keys activities by exact
+					// string, so importers must never disagree on identity.
 					activity = strings.TrimSpace(a.Value)
 					continue
 				}

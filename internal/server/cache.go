@@ -13,7 +13,7 @@ import (
 // plus the rewrite trace that produced it) and the materialized result set.
 // A static log's index is immutable, so its cached results stay valid for
 // the lifetime of the loaded log and are only ever displaced by LRU
-// pressure. Under live ingestion (Config.Ingest) the backend grows, and
+// pressure. Under live ingestion (Config.Ingest) the index grows, and
 // each append runs a delta invalidation sweep: the entry's log name and the
 // plan's atom set tag exactly which appends could change its answer.
 //

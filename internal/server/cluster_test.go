@@ -81,8 +81,8 @@ func newClusterFixture(t *testing.T, n int, name string, l *wlog.Log, mut func(*
 	return f
 }
 
-// The 13-query operator matrix from the cross-backend equivalence suite
-// (internal/colstore), here driven end to end over HTTP against 1, 2 and 4
+// The 13-query operator matrix of the evaluator's Definition 4 oracle suite
+// (internal/core/eval), here driven end to end over HTTP against 1, 2 and 4
 // workers: distribution must be a physical switch, never a semantic one.
 var clusterEquivalenceQueries = []string{
 	"Act00 . Act01",
@@ -195,42 +195,6 @@ func TestClusterEquivalence(t *testing.T) {
 					}
 				}
 			}
-		}
-	}
-}
-
-// TestClusterEquivalenceColumnarWorkers crosses the distribution axis with
-// the storage axis: a fleet whose workers run the columnar backend must
-// still match the single-node row backend bit for bit.
-func TestClusterEquivalenceColumnarWorkers(t *testing.T) {
-	l := clusterEquivalenceLogs()["uniform"]
-	baseline := New(Config{})
-	if err := baseline.AddLog("eq", "builtin:eq", l); err != nil {
-		t.Fatal(err)
-	}
-	var f clusterFixture
-	for i := 0; i < 2; i++ {
-		s := New(Config{WorkerMode: true, FlightRecorderSize: -1, Columnar: true})
-		if err := s.AddLog("eq", "builtin:eq", l); err != nil {
-			t.Fatal(err)
-		}
-		ts := httptest.NewServer(s.Handler())
-		t.Cleanup(ts.Close)
-		f.urls = append(f.urls, ts.URL)
-	}
-	coord := New(Config{Cluster: &cluster.Config{Workers: f.urls}, ProbeInterval: -1})
-	if err := coord.AddLog("eq", "builtin:eq", l); err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range clusterEquivalenceQueries {
-		body := fmt.Sprintf(`{"log":"eq","query":%q}`, q)
-		var want, got queryResponse
-		postQuery(t, baseline.Handler(), body, &want)
-		if rec := postQuery(t, coord.Handler(), body, &got); rec.Code != http.StatusOK {
-			t.Fatalf("%q: status %d: %s", q, rec.Code, rec.Body)
-		}
-		if digestOf(got) != digestOf(want) {
-			t.Fatalf("%q: columnar fleet diverges from row single-node", q)
 		}
 	}
 }

@@ -23,10 +23,8 @@ type captureSummary struct {
 	Time       time.Time        `json:"time"`
 	Log        string           `json:"log,omitempty"`
 	Generation uint64           `json:"generation"`
-	Backend    string           `json:"backend,omitempty"`
 	Query      string           `json:"query"`
 	Plan       string           `json:"plan,omitempty"`
-	Planner    string           `json:"planner,omitempty"`
 	Status     flightrec.Status `json:"status"`
 	HTTPStatus int              `json:"http_status,omitempty"`
 	Error      string           `json:"error,omitempty"`
@@ -53,10 +51,8 @@ func summarize(c *flightrec.Capture) captureSummary {
 		Time:       c.Time,
 		Log:        c.Log,
 		Generation: c.Generation,
-		Backend:    c.Backend,
 		Query:      c.Query,
 		Plan:       c.Plan,
-		Planner:    c.Planner,
 		Status:     c.Status,
 		HTTPStatus: c.HTTPStatus,
 		Error:      c.Error,

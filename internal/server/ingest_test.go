@@ -402,7 +402,7 @@ func TestIngestPrometheusExposition(t *testing.T) {
 
 // TestConcurrentAppendAndQuery exercises the append path against concurrent
 // queries (run under -race in CI): the monitor's read lock freezes the
-// backend per query while appends mutate it in between.
+// index per query while appends mutate it in between.
 func TestConcurrentAppendAndQuery(t *testing.T) {
 	s, _ := newIngestServer(t, Config{})
 	h := s.Handler()
@@ -452,4 +452,30 @@ func TestIngestConfigErrors(t *testing.T) {
 		}
 	}()
 	New(Config{Ingest: true, WorkerMode: true})
+}
+
+// TestIngestWALDirCollision: two log names that sanitize to the same WAL
+// subdirectory ("a b" and "a_b" both become <wal-dir>/a_b) must not share
+// it — two coordinators appending to and replaying one WAL would mix the
+// logs. The second AddLog fails, naming the log that holds the directory.
+func TestIngestWALDirCollision(t *testing.T) {
+	s := New(Config{Ingest: true, WALDir: t.TempDir()})
+	t.Cleanup(func() { s.Close() })
+	if err := s.AddLog("a b", "builtin:fig3", wlq.ClinicFig3()); err != nil {
+		t.Fatal(err)
+	}
+	err := s.AddLog("a_b", "builtin:fig3", wlq.ClinicFig3())
+	if err == nil {
+		t.Fatal(`AddLog("a_b") shared the WAL directory of "a b"`)
+	}
+	if !strings.Contains(err.Error(), `"a b"`) {
+		t.Fatalf("error %q does not name the log holding the directory", err)
+	}
+	if _, lookupErr := s.lookup("a_b"); lookupErr == nil {
+		t.Fatal("the refused log was registered anyway")
+	}
+	// An unrelated name still gets its own directory.
+	if err := s.AddLog("c", "builtin:fig3", wlq.ClinicFig3()); err != nil {
+		t.Fatal(err)
+	}
 }

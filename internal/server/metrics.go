@@ -12,6 +12,7 @@ import (
 	"wlq/internal/core/eval"
 	"wlq/internal/core/pattern"
 	"wlq/internal/flightrec"
+	"wlq/internal/obs"
 	"wlq/internal/resilience"
 )
 
@@ -46,12 +47,6 @@ type metrics struct {
 	// pass (single-flight) instead of starting their own.
 	coalescedReloads atomic.Uint64
 
-	// Adaptive cost-model counters: plans ranked with measured selectivities
-	// from the statistics registry versus the static model constants (a
-	// registry below its evidence thresholds still ranks statically).
-	adaptivePlans atomic.Uint64
-	staticPlans   atomic.Uint64
-
 	// Sharded-execution counters (zero unless Config.Shards is set): queries
 	// run shard-by-shard, per-shard retry attempts, shards excluded after
 	// exhausting retries, shards skipped by an open circuit breaker, results
@@ -77,7 +72,7 @@ type metrics struct {
 	// ingestInvalidations counts cache entries dropped by the per-append
 	// delta sweep, and fsyncHist is the WAL fsync latency histogram.
 	ingestInvalidations atomic.Uint64
-	fsyncHist           fsyncHistogram
+	fsyncHist           *obs.Histogram
 
 	// Per-operator totals, indexed by pattern.Op (1..4), folded in from
 	// each evaluated query's eval.Meter: the measured record-level
@@ -86,11 +81,15 @@ type metrics struct {
 	opOutputs     [5]atomic.Uint64
 
 	lat  latencyRing
-	hist latencyHist
+	hist *obs.Histogram
 }
 
 func newMetrics() *metrics {
-	return &metrics{start: time.Now()}
+	return &metrics{
+		start:     time.Now(),
+		fsyncHist: obs.NewHistogram(fsyncBucketsUS),
+		hist:      obs.NewHistogram(latencyBucketsUS),
+	}
 }
 
 // observeLatency records one request's wall-clock latency in both the
@@ -99,7 +98,7 @@ func newMetrics() *metrics {
 // biased toward successful queries.
 func (m *metrics) observeLatency(d time.Duration) {
 	m.lat.observe(d)
-	m.hist.observe(d)
+	m.hist.Observe(d)
 }
 
 // recordMeter folds one query's per-node measurements into the service-wide
@@ -127,71 +126,21 @@ func (m *metrics) operatorTotals() (comparisons, outputs map[string]uint64) {
 	return comparisons, outputs
 }
 
-// latencyBucketsUS are the histogram upper bounds in microseconds (plus an
-// implicit +Inf overflow bucket): 100µs to 10s, roughly logarithmic — the
-// span between a cached lookup and the default request timeout.
-var latencyBucketsUS = [...]int64{
+// latencyBucketsUS are the request latency histogram bounds in
+// microseconds (plus an implicit +Inf overflow bucket): 100µs to 10s,
+// roughly logarithmic — the span between a cached lookup and the default
+// request timeout.
+var latencyBucketsUS = []int64{
 	100, 250, 500, 1000, 2500, 5000, 10000, 25000, 50000,
 	100000, 250000, 500000, 1000000, 2500000, 5000000, 10000000,
-}
-
-// latencyHist is a fixed-bucket latency histogram in the Prometheus style:
-// per-bucket counts (cumulated at exposition time), a running sum and a
-// count, all atomic.
-type latencyHist struct {
-	buckets [len(latencyBucketsUS) + 1]atomic.Uint64 // last slot = +Inf
-	count   atomic.Uint64
-	sumUS   atomic.Int64
-}
-
-func (h *latencyHist) observe(d time.Duration) {
-	us := d.Microseconds()
-	i := sort.Search(len(latencyBucketsUS), func(i int) bool { return latencyBucketsUS[i] >= us })
-	h.buckets[i].Add(1)
-	h.count.Add(1)
-	h.sumUS.Add(us)
-}
-
-// snapshot returns the per-bucket counts (not yet cumulative), the total
-// count and the latency sum.
-func (h *latencyHist) snapshot() (buckets []uint64, count uint64, sumUS int64) {
-	buckets = make([]uint64, len(h.buckets))
-	for i := range h.buckets {
-		buckets[i] = h.buckets[i].Load()
-	}
-	return buckets, h.count.Load(), h.sumUS.Load()
 }
 
 // fsyncBucketsUS are the WAL fsync duration histogram bounds in
 // microseconds (plus an implicit +Inf bucket): 10µs — a page-cache sync on
 // fast NVMe or tmpfs — up to 1s, where the disk is the ingest bottleneck.
-var fsyncBucketsUS = [...]int64{
+var fsyncBucketsUS = []int64{
 	10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000,
 	25000, 50000, 100000, 250000, 500000, 1000000,
-}
-
-// fsyncHistogram is latencyHist over the fsync bucket bounds: per-bucket
-// counts (cumulated at exposition time), a running sum and a count.
-type fsyncHistogram struct {
-	buckets [len(fsyncBucketsUS) + 1]atomic.Uint64 // last slot = +Inf
-	count   atomic.Uint64
-	sumUS   atomic.Int64
-}
-
-func (h *fsyncHistogram) observe(d time.Duration) {
-	us := d.Microseconds()
-	i := sort.Search(len(fsyncBucketsUS), func(i int) bool { return fsyncBucketsUS[i] >= us })
-	h.buckets[i].Add(1)
-	h.count.Add(1)
-	h.sumUS.Add(us)
-}
-
-func (h *fsyncHistogram) snapshot() (buckets []uint64, count uint64, sumUS int64) {
-	buckets = make([]uint64, len(h.buckets))
-	for i := range h.buckets {
-		buckets[i] = h.buckets[i].Load()
-	}
-	return buckets, h.count.Load(), h.sumUS.Load()
 }
 
 // latencyRing is a fixed-size ring of the most recent query latencies, in
@@ -256,7 +205,6 @@ type latencyDoc struct {
 // metricsDoc is the full GET /metrics response.
 type metricsDoc struct {
 	UptimeSeconds      float64 `json:"uptime_seconds"`
-	Backend            string  `json:"backend"`
 	LogsLoaded         int     `json:"logs_loaded"`
 	QueriesTotal       uint64  `json:"queries_total"`
 	QueryErrors        uint64  `json:"query_errors"`
@@ -300,10 +248,6 @@ type metricsDoc struct {
 	// and captures currently resident in the rings.
 	FlightCaptured uint64 `json:"flightrec_captured"`
 	FlightEntries  int    `json:"flightrec_entries"`
-	// Adaptive cost-model counters: plans ranked with measured vs assumed
-	// selectivities.
-	AdaptivePlans uint64 `json:"adaptive_plans"`
-	StaticPlans   uint64 `json:"static_plans"`
 
 	Latency latencyDoc `json:"latency"`
 	// OperatorComparisons and OperatorOutputs are the service-lifetime
@@ -387,7 +331,7 @@ func (s *Server) clusterMetrics() *clusterMetricsDoc {
 // per-query worker count; breakersOpen is the live count of not-closed
 // per-shard circuit breakers; logs, cache and admission supply their own
 // gauges; cl is the cluster section (nil off-cluster).
-func (m *metrics) snapshot(logsLoaded, quarantined, workersPerQuery, breakersOpen int, cache *lru, adm *resilience.Admission, flight *flightrec.Recorder, backend string, cl *clusterMetricsDoc, ing *ingestMetricsDoc) metricsDoc {
+func (m *metrics) snapshot(logsLoaded, quarantined, workersPerQuery, breakersOpen int, cache *lru, adm *resilience.Admission, flight *flightrec.Recorder, cl *clusterMetricsDoc, ing *ingestMetricsDoc) metricsDoc {
 	count, p50, p95, p99, max := m.lat.percentiles()
 	capacity := runtime.GOMAXPROCS(0)
 	busy := m.busyWorkers.Load()
@@ -398,7 +342,6 @@ func (m *metrics) snapshot(logsLoaded, quarantined, workersPerQuery, breakersOpe
 	opComparisons, opOutputs := m.operatorTotals()
 	return metricsDoc{
 		UptimeSeconds:       time.Since(m.start).Seconds(),
-		Backend:             backend,
 		LogsLoaded:          logsLoaded,
 		QueriesTotal:        m.queriesTotal.Load(),
 		QueryErrors:         m.queryErrors.Load(),
@@ -436,8 +379,6 @@ func (m *metrics) snapshot(logsLoaded, quarantined, workersPerQuery, breakersOpe
 		WorkerUtilization:   util,
 		FlightCaptured:      flight.Captured(),
 		FlightEntries:       flight.Len(),
-		AdaptivePlans:       m.adaptivePlans.Load(),
-		StaticPlans:         m.staticPlans.Load(),
 		Latency:             latencyDoc{Count: count, P50: p50, P95: p95, P99: p99, Max: max},
 		OperatorComparisons: opComparisons,
 		OperatorOutputs:     opOutputs,

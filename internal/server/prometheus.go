@@ -6,12 +6,12 @@ import (
 	"net/http"
 	"strconv"
 
-	"wlq/internal/cluster"
+	"wlq/internal/obs"
 )
 
 // Prometheus text exposition (format version 0.0.4) for GET
-// /metrics?format=prometheus. Hand-rolled on purpose: the surface is a
-// dozen scalar families plus one histogram, and the service stays
+// /metrics?format=prometheus. Hand-rolled on purpose: the surface is
+// scalar and labeled families plus three histograms, and the service stays
 // dependency-free. Metric names follow the Prometheus conventions —
 // `wlq_` prefix, `_total` suffix on counters, base units (seconds).
 
@@ -42,7 +42,7 @@ func (s *Server) writePrometheus(w http.ResponseWriter) {
 	s.mu.RLock()
 	loaded, quarantined := len(s.logs), len(s.quarantine)
 	s.mu.RUnlock()
-	doc := s.metrics.snapshot(loaded, quarantined, s.cfg.Workers, s.openBreakers(), s.cache, s.admission, s.flight, s.backendName(), s.clusterMetrics(), s.ingestMetrics())
+	doc := s.metrics.snapshot(loaded, quarantined, s.cfg.Workers, s.openBreakers(), s.cache, s.admission, s.flight, s.clusterMetrics(), s.ingestMetrics())
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 
@@ -50,18 +50,6 @@ func (s *Server) writePrometheus(w http.ResponseWriter) {
 		gauge(doc.UptimeSeconds)...)
 	writeFamily(w, "wlq_logs_loaded", "Workflow logs loaded and indexed.", "gauge",
 		gauge(float64(doc.LogsLoaded))...)
-	// Storage backend as a one-hot labeled gauge, so dashboards can select
-	// series by backend without string-valued metrics.
-	backendSamples := make([]promSample, 0, 2)
-	for _, b := range []string{"row", "columnar"} {
-		v := "0"
-		if doc.Backend == b {
-			v = "1"
-		}
-		backendSamples = append(backendSamples, promSample{labels: `{backend="` + b + `"}`, value: v})
-	}
-	writeFamily(w, "wlq_storage_backend", "Active storage backend (one-hot).", "gauge",
-		backendSamples...)
 	writeFamily(w, "wlq_queries_total", "Queries received on POST /v1/query.", "counter",
 		counter(doc.QueriesTotal)...)
 	writeFamily(w, "wlq_query_errors_total", "Queries rejected or failed.", "counter",
@@ -128,10 +116,6 @@ func (s *Server) writePrometheus(w http.ResponseWriter) {
 		counter(doc.FlightCaptured)...)
 	writeFamily(w, "wlq_flightrec_entries", "Captures currently resident in the flight-recorder rings.", "gauge",
 		gauge(float64(doc.FlightEntries))...)
-	writeFamily(w, "wlq_adaptive_plans_total", "Plans ranked with measured selectivities from the statistics registry.", "counter",
-		counter(doc.AdaptivePlans)...)
-	writeFamily(w, "wlq_static_plans_total", "Plans ranked with the static model constants.", "counter",
-		counter(doc.StaticPlans)...)
 
 	// Cluster tier: coordinator fan-out counters and per-worker breaker
 	// state, plus the worker-mode served-request counters. Emitted only on
@@ -174,23 +158,14 @@ func (s *Server) writePrometheus(w http.ResponseWriter) {
 		writeFamily(w, "wlq_worker_query_errors_total", "Worker-mode requests this instance failed.", "counter",
 			counter(cl.WorkerQueryErrors)...)
 		// Per-worker request-duration histogram: one labeled series per
-		// worker, cumulative buckets in seconds.
+		// worker.
 		if len(cl.WorkerDurations) > 0 {
-			fmt.Fprintf(w, "# HELP wlq_worker_query_duration_seconds Coordinator-observed worker request round-trip time, per worker.\n")
-			fmt.Fprintf(w, "# TYPE wlq_worker_query_duration_seconds histogram\n")
+			series := make([]histSeries, 0, len(cl.WorkerDurations))
 			for _, wd := range cl.WorkerDurations {
-				var cum uint64
-				for i, le := range cluster.DurationBucketsUS {
-					cum += wd.Buckets[i]
-					fmt.Fprintf(w, "wlq_worker_query_duration_seconds_bucket{worker=%q,le=%q} %d\n",
-						wd.Worker, strconv.FormatFloat(float64(le)/1e6, 'g', -1, 64), cum)
-				}
-				cum += wd.Buckets[len(wd.Buckets)-1]
-				fmt.Fprintf(w, "wlq_worker_query_duration_seconds_bucket{worker=%q,le=\"+Inf\"} %d\n", wd.Worker, cum)
-				fmt.Fprintf(w, "wlq_worker_query_duration_seconds_sum{worker=%q} %s\n",
-					wd.Worker, strconv.FormatFloat(float64(wd.SumUS)/1e6, 'g', -1, 64))
-				fmt.Fprintf(w, "wlq_worker_query_duration_seconds_count{worker=%q} %d\n", wd.Worker, wd.Count)
+				series = append(series, histSeries{labels: "worker=" + strconv.Quote(wd.Worker), snap: wd.HistogramSnapshot})
 			}
+			writeHistogram(w, "wlq_worker_query_duration_seconds",
+				"Coordinator-observed worker request round-trip time, per worker.", series...)
 		}
 	}
 
@@ -234,21 +209,8 @@ func (s *Server) writePrometheus(w http.ResponseWriter) {
 			writeFamily(w, "wlq_ingest_queue_depth", "Per-log append requests currently admitted.", "gauge", depth...)
 			writeFamily(w, "wlq_ingest_queue_capacity", "Per-log append admission bound (0 = unlimited).", "gauge", capy...)
 		}
-		// WAL fsync latency histogram: cumulative buckets in seconds.
-		fb, fcount, fsum := s.metrics.fsyncHist.snapshot()
-		fmt.Fprintf(w, "# HELP wlq_ingest_fsync_duration_seconds WAL fsync latency.\n")
-		fmt.Fprintf(w, "# TYPE wlq_ingest_fsync_duration_seconds histogram\n")
-		var fcum uint64
-		for i, le := range fsyncBucketsUS {
-			fcum += fb[i]
-			fmt.Fprintf(w, "wlq_ingest_fsync_duration_seconds_bucket{le=%q} %d\n",
-				strconv.FormatFloat(float64(le)/1e6, 'g', -1, 64), fcum)
-		}
-		fcum += fb[len(fb)-1]
-		fmt.Fprintf(w, "wlq_ingest_fsync_duration_seconds_bucket{le=\"+Inf\"} %d\n", fcum)
-		fmt.Fprintf(w, "wlq_ingest_fsync_duration_seconds_sum %s\n",
-			strconv.FormatFloat(float64(fsum)/1e6, 'g', -1, 64))
-		fmt.Fprintf(w, "wlq_ingest_fsync_duration_seconds_count %d\n", fcount)
+		writeHistogram(w, "wlq_ingest_fsync_duration_seconds", "WAL fsync latency.",
+			histSeries{snap: s.metrics.fsyncHist.Snapshot()})
 	}
 
 	// Per-operator Lemma 1 accounting, labeled by operator name.
@@ -265,25 +227,38 @@ func (s *Server) writePrometheus(w http.ResponseWriter) {
 	writeFamily(w, "wlq_operator_outputs_total",
 		"Incidents produced per operator.", "counter", outs...)
 
-	// Request latency histogram: cumulative buckets in seconds.
-	buckets, count, sumUS := s.metrics.hist.snapshot()
-	samples := make([]promSample, 0, len(buckets)+2)
-	var cum uint64
-	for i, le := range latencyBucketsUS {
-		cum += buckets[i]
-		samples = append(samples, promSample{
-			labels: fmt.Sprintf(`{le="%s"}`, strconv.FormatFloat(float64(le)/1e6, 'g', -1, 64)),
-			value:  strconv.FormatUint(cum, 10),
-		})
+	writeHistogram(w, "wlq_query_duration_seconds", "Request latency, all paths (success, error, timeout).",
+		histSeries{snap: s.metrics.hist.Snapshot()})
+}
+
+// histSeries is one series of a histogram family: its rendered label pairs
+// without braces (e.g. `worker="http://w1"`, or empty) and its snapshot.
+type histSeries struct {
+	labels string
+	snap   obs.HistogramSnapshot
+}
+
+// writeHistogram writes one histogram family: HELP, TYPE, then per series
+// the cumulative buckets, sum and count, all in seconds.
+func writeHistogram(w io.Writer, name, help string, series ...histSeries) {
+	fmt.Fprintf(w, "# HELP %s %s\n", name, help)
+	fmt.Fprintf(w, "# TYPE %s histogram\n", name)
+	seconds := func(us int64) string { return strconv.FormatFloat(float64(us)/1e6, 'g', -1, 64) }
+	for _, s := range series {
+		prefix, suffix := "", ""
+		if s.labels != "" {
+			prefix, suffix = s.labels+",", "{"+s.labels+"}"
+		}
+		var cum uint64
+		for i, count := range s.snap.Buckets {
+			cum += count
+			le := "+Inf"
+			if i < len(s.snap.BoundsUS) {
+				le = seconds(s.snap.BoundsUS[i])
+			}
+			fmt.Fprintf(w, "%s_bucket{%sle=%q} %d\n", name, prefix, le, cum)
+		}
+		fmt.Fprintf(w, "%s_sum%s %s\n", name, suffix, seconds(s.snap.SumUS))
+		fmt.Fprintf(w, "%s_count%s %d\n", name, suffix, s.snap.Count)
 	}
-	cum += buckets[len(buckets)-1]
-	samples = append(samples, promSample{labels: `{le="+Inf"}`, value: strconv.FormatUint(cum, 10)})
-	fmt.Fprintf(w, "# HELP wlq_query_duration_seconds Request latency, all paths (success, error, timeout).\n")
-	fmt.Fprintf(w, "# TYPE wlq_query_duration_seconds histogram\n")
-	for _, sm := range samples {
-		fmt.Fprintf(w, "wlq_query_duration_seconds_bucket%s %s\n", sm.labels, sm.value)
-	}
-	fmt.Fprintf(w, "wlq_query_duration_seconds_sum %s\n",
-		strconv.FormatFloat(float64(sumUS)/1e6, 'g', -1, 64))
-	fmt.Fprintf(w, "wlq_query_duration_seconds_count %d\n", count)
 }

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"sort"
 
+	"wlq/internal/core/eval"
 	"wlq/internal/ingest"
 )
 
@@ -144,10 +145,10 @@ func (s *Server) reloadLogsLocked() (ReloadResult, error) {
 				continue
 			}
 			e.live = t.live
-			e.ix = t.live.Monitor().Source()
+			e.ix = t.live.Monitor().Index()
 		} else {
-			e.ix = s.newBackend(l)
-			// The shard executor is rebuilt with the backend: the new partition
+			e.ix = eval.NewIndex(l)
+			// The shard executor is rebuilt with the index: the new partition
 			// matches the new log, and breaker history bound to stale wid ranges
 			// is discarded with them.
 			e.shardex = s.newShardExecutor(e.ix)

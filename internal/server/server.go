@@ -35,7 +35,6 @@ import (
 	"time"
 
 	"wlq/internal/cluster"
-	"wlq/internal/colstore"
 	"wlq/internal/core/eval"
 	"wlq/internal/core/incident"
 	"wlq/internal/core/pattern"
@@ -45,7 +44,6 @@ import (
 	"wlq/internal/obs"
 	"wlq/internal/resilience"
 	"wlq/internal/shard"
-	"wlq/internal/stats"
 	"wlq/internal/wal"
 	"wlq/internal/wlog"
 )
@@ -126,11 +124,6 @@ type Config struct {
 	// BreakerCooldown is a tripped breaker's open → half-open delay
 	// (0 = shard.DefaultBreakerCooldown).
 	BreakerCooldown time.Duration
-	// Columnar, when true, builds every loaded (and reloaded) log's
-	// backend as the columnar internal/colstore store instead of the row
-	// index: interned activity symbols and per-activity posting lists.
-	// Answers are identical on either backend; see docs/STORAGE.md.
-	Columnar bool
 	// FlightRecorderSize is the query flight recorder's per-ring capacity:
 	// the recorder keeps that many recent executions plus that many notable
 	// (slow or failed) ones. 0 means DefaultFlightRecorderSize; negative
@@ -152,17 +145,6 @@ type Config struct {
 	// (0 = cluster.DefaultProbeInterval; negative disables probing, for
 	// tests that drive ProbeOnce deterministically).
 	ProbeInterval time.Duration
-	// Adaptive enables the measured-selectivity cost model: each log gets a
-	// statistics registry fed by successful complete evaluations, and the
-	// optimizer ranks plans with the measured operator selectivities once
-	// enough evidence accumulates (the Lemma 1 model constants until then).
-	// Registries persist as <source>.stats.json next to file-backed logs
-	// (see StatsFile) and survive hot reloads in memory regardless.
-	Adaptive bool
-	// StatsFile overrides the statistics snapshot path. Only meaningful
-	// with Adaptive and a single log (every log would share the one file);
-	// cmd/wlq-serve enforces that. Empty means the per-source default.
-	StatsFile string
 	// Ingest enables durable live ingestion: every registered log accepts
 	// POST /v1/logs/{name}/append, each accepted record is written to a
 	// per-log write-ahead log before it touches the in-memory index, and
@@ -211,15 +193,15 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// logEntry is one loaded (generation of a) log with its prebuilt backend
-// (row index or columnar store, per Config.Columnar). An entry is
-// immutable: hot reload replaces the pointer wholesale, so in-flight
-// queries keep the consistent snapshot they resolved at lookup time.
+// logEntry is one loaded (generation of a) log with its prebuilt index. An
+// entry is immutable: hot reload replaces the pointer wholesale, so
+// in-flight queries keep the consistent snapshot they resolved at lookup
+// time.
 type logEntry struct {
 	name   string
 	source string
 	log    *wlog.Log
-	ix     eval.Source
+	ix     *eval.Index
 	valid  bool
 	reason string // validation error text when !valid
 	gen    uint64 // reload generation; part of the result-cache key
@@ -232,7 +214,7 @@ type logEntry struct {
 	// state: a hot reload rebases the SAME coordinator onto the fresh
 	// snapshot (replaying its WAL on top) instead of replacing it, so the
 	// WAL file handle and watermark survive reloads. For a live entry, ix is
-	// the coordinator's monitor backend, and the query path brackets every
+	// the coordinator's monitor index, and the query path brackets every
 	// read of it with the monitor's RLock.
 	live *ingest.Coordinator
 }
@@ -259,13 +241,6 @@ type Server struct {
 	// replaced, so captures from before and after a hot reload coexist,
 	// distinguished by their generation field.
 	flight *flightrec.Recorder
-
-	// stats maps log name -> statistics registry state (nil map entries
-	// never occur; the map itself is empty unless Config.Adaptive). Guarded
-	// by mu. Registries are NOT rebuilt on hot reload: measured behavior is
-	// a property of the log's workload, and the snapshot on disk is the
-	// authority across restarts.
-	stats map[string]*logStats
 
 	// reloadMu guards reloadCall, the single-flight slot for ReloadLogs:
 	// concurrent reload requests (SIGHUP racing POST /v1/reload) join the
@@ -311,7 +286,6 @@ func New(cfg Config) *Server {
 		metrics:    newMetrics(),
 		coord:      coord,
 		flight:     flight,
-		stats:      make(map[string]*logStats),
 	}
 }
 
@@ -328,47 +302,6 @@ func (s *Server) StartClusterProbing(ctx context.Context) {
 		return
 	}
 	s.coord.StartProbing(ctx, s.cfg.ProbeInterval)
-}
-
-// logStats is one log's adaptive cost-model state: the registry and the
-// snapshot path it persists to ("" = in-memory only, for generated logs).
-type logStats struct {
-	reg  *stats.Registry
-	path string
-}
-
-// statsFor returns a log's statistics registry, or nil when the adaptive
-// cost model is off (or the log is unknown).
-func (s *Server) statsFor(name string) *stats.Registry {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if ls, ok := s.stats[name]; ok {
-		return ls.reg
-	}
-	return nil
-}
-
-// saveStats persists a log's registry to its snapshot path, if it has one.
-// Failures are logged, not fatal: statistics are an optimization, and the
-// next successful query retries the write.
-func (s *Server) saveStats(name string) {
-	s.mu.RLock()
-	ls := s.stats[name]
-	s.mu.RUnlock()
-	if ls == nil || ls.path == "" {
-		return
-	}
-	if err := ls.reg.Save(ls.path); err != nil && s.cfg.Logger != nil {
-		s.cfg.Logger.Error("stats snapshot write failed", "log", name, "path", ls.path, "error", err)
-	}
-}
-
-// backendName names the configured storage backend for captures and metrics.
-func (s *Server) backendName() string {
-	if s.cfg.Columnar {
-		return "columnar"
-	}
-	return "row"
 }
 
 // AddLog registers a log under a name and builds its index. source is a
@@ -398,57 +331,38 @@ func (s *Server) AddLog(name, source string, l *wlog.Log) error {
 		if !e.valid {
 			return fmt.Errorf("server: log %q cannot accept appends: %s", name, e.reason)
 		}
+		// Distinct names can sanitize to one WAL directory ("a b", "a_b");
+		// two coordinators must never append to and replay the same WAL.
+		dir := sanitizeWALName(name)
+		for _, other := range s.logs {
+			if other.live != nil && sanitizeWALName(other.name) == dir {
+				return fmt.Errorf("server: log %q: WAL directory %q is already held by log %q",
+					name, dir, other.name)
+			}
+		}
 		coord, rec, err := s.openIngest(name, l)
 		if err != nil {
 			return fmt.Errorf("server: log %q: %w", name, err)
 		}
 		e.live = coord
-		e.ix = coord.Monitor().Source()
+		e.ix = coord.Monitor().Index()
 		if s.cfg.Logger != nil && (rec.Records > 0 || rec.TornBytes > 0) {
 			s.cfg.Logger.Info("wal recovered", "log", name,
 				"records", rec.Records, "last_lsn", rec.LastLSN,
 				"segments", rec.Segments, "torn_bytes", rec.TornBytes)
 		}
 	} else {
-		e.ix = s.newBackend(l)
+		e.ix = eval.NewIndex(l)
 		e.shardex = s.newShardExecutor(e.ix)
-	}
-	if s.cfg.Adaptive {
-		path := s.cfg.StatsFile
-		if path == "" {
-			path = stats.PathFor(source)
-		}
-		reg := stats.New()
-		if path != "" {
-			loaded, err := stats.Load(path)
-			if err != nil {
-				// A corrupt snapshot must not silently discard accumulated
-				// statistics; the operator decides (delete the file, or fix it).
-				if e.live != nil {
-					e.live.Close()
-				}
-				return fmt.Errorf("server: log %q: %w", name, err)
-			}
-			reg = loaded
-		}
-		s.stats[name] = &logStats{reg: reg, path: path}
 	}
 	s.logs[name] = e
 	s.names = append(s.names, name)
 	return nil
 }
 
-// newBackend builds the configured storage backend for a log.
-func (s *Server) newBackend(l *wlog.Log) eval.Source {
-	if s.cfg.Columnar {
-		return colstore.Build(l)
-	}
-	return eval.NewIndex(l)
-}
-
 // newShardExecutor builds a log's sharded executor from the server config,
 // or nil when sharded execution is disabled.
-func (s *Server) newShardExecutor(ix eval.Source) *shard.Executor {
+func (s *Server) newShardExecutor(ix *eval.Index) *shard.Executor {
 	// A coordinator's failure domains are the workers; in-process shards on
 	// top would partition twice for no added isolation.
 	if s.cfg.Shards == 0 || s.coord != nil {
@@ -770,7 +684,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		if s.flight != nil && req.Query != "" {
 			capture.Time = time.Now()
 			capture.Query = req.Query
-			capture.Backend = s.backendName()
 			capture.ElapsedUS = elapsed.Microseconds()
 			capture.Slow = slow
 			if capture.Status == "" {
@@ -844,7 +757,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	capture.Log = entry.name
 	capture.Generation = entry.gen
 	capture.Sharded = entry.shardex != nil
-	// A live log's backend mutates under appends; freeze it for the whole
+	// A live log's index mutates under appends; freeze it for the whole
 	// request — planning, evaluation, AND the cache put. Holding the read
 	// lock across the put closes the stale-entry race: an append can only
 	// take the write lock (and so run its delta invalidation) after this
@@ -926,29 +839,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		if cacheable {
 			s.metrics.cacheMisses.Add(1)
 		}
-		// The adaptive cost model: rank plans with the log's measured
-		// selectivities when a statistics registry is attached, the Lemma 1
-		// model constants otherwise. Either way the rewrite laws applied are
-		// identical — answers cannot change, only plan shape.
-		sel := rewrite.ModelSelectivities()
-		if reg := s.statsFor(entry.name); reg != nil {
-			sel = reg.Selectivities()
-		}
-		capture.Planner = plannerName(sel)
 		plan := pattern.Node(p)
 		var trace rewrite.Trace
 		if req.NoOptimize {
 			trace = rewrite.Trace{Input: p, Output: p}
 		} else {
 			sp = qtr.StartSpan("rewrite")
-			plan, trace = rewrite.ExplainWith(p, entry.ix, sel)
+			plan, trace = rewrite.Explain(p, entry.ix)
 			obs.RewriteSpans(sp, trace)
 			sp.End()
-			if sel.Measured() {
-				s.metrics.adaptivePlans.Add(1)
-			} else {
-				s.metrics.staticPlans.Add(1)
-			}
 		}
 		capture.Plan = plan.String()
 
@@ -956,7 +855,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		// will actually run, so queries predicted to blow past the ceiling
 		// are rejected before they consume a single worker.
 		if s.cfg.MaxPredictedCost > 0 {
-			predicted := rewrite.NewEstimatorWith(entry.ix, sel).Cost(plan)
+			predicted := rewrite.NewEstimator(entry.ix).Cost(plan)
 			if predicted > s.cfg.MaxPredictedCost {
 				s.metrics.costRejected.Add(1)
 				capFail(flightrec.StatusError, http.StatusUnprocessableEntity,
@@ -1039,7 +938,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			// accounted, which is usually exactly what explains the failure.
 			qtr.End()
 			if qtr != nil {
-				ct := obs.CostTableWith(plan, meter, sel)
+				ct := obs.CostTable(plan, meter)
 				if len(fleetTable) > 0 {
 					// Distributed: the workers measured; the local meter is
 					// empty. A degraded run's fleet table still reflects only
@@ -1072,7 +971,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 					BudgetDimension: be.Dimension,
 					BudgetLimit:     be.Limit,
 					BudgetMeasured:  be.Measured,
-					CostTable:       obs.CostTableWith(plan, meter, sel),
+					CostTable:       obs.CostTable(plan, meter),
 				})
 			case errors.As(err, &pe):
 				s.metrics.panicsRecovered.Add(1)
@@ -1120,13 +1019,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		sp.SetAttr("workers", qs.Workers)
 		sp.SetAttr("instances", qs.Instances)
 		sp.SetAttr("incidents", qs.Incidents)
-		obs.EvalSpansWith(sp, plan, meter, sel)
+		obs.EvalSpans(sp, plan, meter)
 		sp.End()
 		qtr.End()
 		if qtr != nil {
 			// Built whenever an internal trace exists (flight recorder on or
 			// trace requested); attached to the response only on request.
-			ct := obs.CostTableWith(plan, meter, sel)
+			ct := obs.CostTable(plan, meter)
 			if len(fleetTable) > 0 {
 				ct = fleetTable
 			}
@@ -1163,25 +1062,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 					Completeness: comp,
 				})
 				return
-			}
-		}
-		// Statistics hygiene: only a complete, successful evaluation feeds
-		// the selectivity registry. Partial results (lost shards), budget
-		// aborts, panics and timeouts all exited above — their truncated
-		// output counts would read as selectivity and poison later plans.
-		// Distributed runs obey the same contract with a deferred flush:
-		// workers never flush their own registries (they cannot know the
-		// query's final disposition); they carry their measurements back in
-		// the wire cost table, and only here — where a degraded 206 is
-		// distinguishable from a complete answer — does the fleet table feed
-		// the registry.
-		if reg := s.statsFor(entry.name); reg != nil && (comp == nil || comp.Complete) {
-			if s.coord == nil {
-				meter.Flush(reg)
-				s.saveStats(entry.name)
-			} else if ns := nodeStatsFromCostRows(plan, fleetTable); ns != nil {
-				reg.ObserveMeter(ns)
-				s.saveStats(entry.name)
 			}
 		}
 		// The log name and the plan's atoms tag the entry for delta
@@ -1245,15 +1125,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, code, resp)
 }
 
-// plannerName labels which cost model ranked a plan, for captures and the
-// adaptive/static plan counters.
-func plannerName(sel rewrite.Selectivities) string {
-	if sel.Measured() {
-		return "adaptive"
-	}
-	return "static"
-}
-
 // retryAfterSeconds converts an advisory retry delay to the whole-second
 // Retry-After value. The delay is rounded UP (a sub-second hint must not
 // truncate to "retry immediately", which under saturation synchronizes
@@ -1283,7 +1154,7 @@ func (s *Server) timeout(requestMS int) time.Duration {
 // resolveWorkers mirrors eval's worker resolution so the busy-worker gauge
 // matches what EvalParallelCtx actually spawns: the configured (or lower
 // requested) count, capped by the instance count.
-func (s *Server) resolveWorkers(requested int, ix eval.Source) int {
+func (s *Server) resolveWorkers(requested int, ix *eval.Index) int {
 	w := s.cfg.Workers
 	if requested > 0 && requested < w {
 		w = requested
@@ -1321,36 +1192,21 @@ func toEstimateDoc(e rewrite.Estimate) estimateDoc {
 	return estimateDoc{Cost: e.Cost, CardPerInstance: e.Card, Atoms: e.Atoms}
 }
 
-// selectivityDoc surfaces the cost model's selectivities with their
-// provenance: each value is either the assumed model constant or a measured
-// value from the log's statistics registry (adaptive cost model). See
-// rewrite.ModelSelectivities and docs/OPERATIONS.md.
+// selectivityDoc surfaces the cost model's assumed selectivity constants.
+// See rewrite.ModelSelectivities and docs/OPERATIONS.md.
 type selectivityDoc struct {
 	Guard       float64 `json:"guard"`
 	Consecutive float64 `json:"consecutive"`
 	Sequential  float64 `json:"sequential"`
 	Parallel    float64 `json:"parallel"`
-	// The *Source fields are "assumed" or "measured", per value.
-	GuardSource       string `json:"guard_source,omitempty"`
-	ConsecutiveSource string `json:"consecutive_source,omitempty"`
-	SequentialSource  string `json:"sequential_source,omitempty"`
-	ParallelSource    string `json:"parallel_source,omitempty"`
-	// Adaptive is true when at least one value is measured — the plan the
-	// explain describes is the adaptive planner's choice.
-	Adaptive bool `json:"adaptive,omitempty"`
 }
 
 func toSelectivityDoc(sel rewrite.Selectivities) selectivityDoc {
 	return selectivityDoc{
-		Guard:             sel.Guard,
-		Consecutive:       sel.Consecutive,
-		Sequential:        sel.Sequential,
-		Parallel:          sel.Parallel,
-		GuardSource:       sel.GuardSource,
-		ConsecutiveSource: sel.ConsecutiveSource,
-		SequentialSource:  sel.SequentialSource,
-		ParallelSource:    sel.ParallelSource,
-		Adaptive:          sel.Measured(),
+		Guard:       sel.Guard,
+		Consecutive: sel.Consecutive,
+		Sequential:  sel.Sequential,
+		Parallel:    sel.Parallel,
 	}
 }
 
@@ -1387,18 +1243,14 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "parse error: %v", err)
 		return
 	}
-	sel := rewrite.ModelSelectivities()
-	if reg := s.statsFor(entry.name); reg != nil {
-		sel = reg.Selectivities()
-	}
-	// The estimator reads activity counts off the backend; freeze a live
-	// log's backend against appends for the duration.
+	// The estimator reads activity counts off the index; freeze a live
+	// log's index against appends for the duration.
 	if entry.live != nil {
 		mon := entry.live.Monitor()
 		mon.RLock()
 		defer mon.RUnlock()
 	}
-	opt, trace := rewrite.ExplainWith(p, entry.ix, sel)
+	opt, trace := rewrite.Explain(p, entry.ix)
 	steps := trace.Steps
 	if steps == nil {
 		steps = []string{}
@@ -1435,9 +1287,6 @@ type logDoc struct {
 	// ReloadError is set while the log is quarantined: the last reload
 	// failed and this entry is the retained last-good snapshot.
 	ReloadError string `json:"reload_error,omitempty"`
-	// AdaptiveQueries counts the complete evaluations folded into the log's
-	// statistics registry (absent when the adaptive cost model is off).
-	AdaptiveQueries uint64 `json:"adaptive_queries,omitempty"`
 	// Live marks a log accepting durable appends; IngestLSN is then its
 	// applied high-water mark (the lsn an appender last saw acknowledged).
 	Live      bool   `json:"live,omitempty"`
@@ -1465,31 +1314,30 @@ func (s *Server) handleLogs(w http.ResponseWriter, r *http.Request) {
 	docs := make([]logDoc, len(entries))
 	for i, e := range entries {
 		docs[i] = logDoc{
-			Name:            e.name,
-			Source:          e.source,
-			Valid:           e.valid,
-			Error:           e.reason,
-			Generation:      e.gen,
-			ReloadError:     reloadErrs[e.name],
-			AdaptiveQueries: s.statsFor(e.name).Queries(),
+			Name:        e.name,
+			Source:      e.source,
+			Valid:       e.valid,
+			Error:       e.reason,
+			Generation:  e.gen,
+			ReloadError: reloadErrs[e.name],
 		}
 		if e.live != nil {
 			// Live counts come off the monitor, not the startup snapshot:
 			// the snapshot does not know about appended records.
 			mon := e.live.Monitor()
 			mon.RLock()
-			src := mon.Source()
-			wids := src.WIDs()
+			ix := mon.Index()
+			wids := ix.WIDs()
 			complete := 0
 			for _, wid := range wids {
-				if recs := src.Instance(wid); len(recs) > 0 && recs[len(recs)-1].IsEnd() {
+				if recs := ix.Instance(wid); len(recs) > 0 && recs[len(recs)-1].IsEnd() {
 					complete++
 				}
 			}
-			docs[i].Records = src.TotalRecords()
+			docs[i].Records = ix.TotalRecords()
 			docs[i].Instances = len(wids)
 			docs[i].CompleteInstances = complete
-			docs[i].Activities = len(src.Activities())
+			docs[i].Activities = len(ix.Activities())
 			docs[i].Live = true
 			docs[i].IngestLSN = mon.LastLSNLocked()
 			mon.RUnlock()
@@ -1525,5 +1373,5 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.mu.RUnlock()
 	writeJSON(w, http.StatusOK,
 		s.metrics.snapshot(loaded, quarantined, s.cfg.Workers, s.openBreakers(),
-			s.cache, s.admission, s.flight, s.backendName(), s.clusterMetrics(), s.ingestMetrics()))
+			s.cache, s.admission, s.flight, s.clusterMetrics(), s.ingestMetrics()))
 }

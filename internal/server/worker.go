@@ -22,9 +22,8 @@ import (
 //	POST /v1/worker/query
 //
 // evaluating the coordinator's already-optimized plan verbatim against the
-// wids this worker's ring view assigns it, on its local backend. Workers do
-// not rewrite, cache, record flights, or flush statistics for coordinator
-// traffic — the coordinator owns the query lifecycle; a worker is a remote
+// wids this worker's ring view assigns it, on its local index. Workers do
+// not rewrite, cache or record flights for coordinator traffic — the coordinator owns the query lifecycle; a worker is a remote
 // failure domain with an evaluator, deliberately as thin as an in-process
 // shard. When the request asks for tracing the worker does run an
 // obs.Trace (under the coordinator's propagated trace id) and ships the
@@ -72,10 +71,8 @@ func (s *Server) handleWorkerQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	// Distributed tracing: when the coordinator asks, run the evaluation
 	// under an obs.Trace adopting the propagated trace id and return the
-	// span tree + Lemma 1 cost table in the response. The worker does NOT
-	// flush the meter into its own statistics registry — only the
-	// coordinator knows the query's final disposition (complete vs degraded
-	// 206), so the PR 6 hygiene gate must run there, over the fleet table.
+	// span tree + Lemma 1 cost table in the response; the coordinator
+	// aggregates the tables fleet-wide.
 	var (
 		tr    *obs.Trace
 		meter *eval.Meter

@@ -155,30 +155,29 @@ type Completeness struct {
 	Failures []ShardOutcome `json:"failures,omitempty"`
 }
 
-// Executor runs queries shard by shard over one immutable log backend
-// (row index or columnar store). It is
+// Executor runs queries shard by shard over one immutable log index. It is
 // safe for concurrent use and meant to be long-lived: the per-shard
 // circuit breakers accumulate failure history across queries, which is
 // what lets a persistently poisoned shard be skipped instead of re-probed
 // by every request.
 type Executor struct {
-	src      eval.Source
+	ix       *eval.Index
 	cfg      Config
 	shards   []Shard
 	breakers []*Breaker
 }
 
-// NewExecutor partitions the backend's instances and creates the per-shard
-// breakers. The backend must be immutable for the executor's lifetime (the
+// NewExecutor partitions the index's instances and creates the per-shard
+// breakers. The index must be immutable for the executor's lifetime (the
 // same contract EvalParallel relies on).
-func NewExecutor(src eval.Source, cfg Config) *Executor {
+func NewExecutor(ix *eval.Index, cfg Config) *Executor {
 	cfg = cfg.withDefaults()
-	shards := Partition(src.WIDs(), cfg.Shards, cfg.Policy)
+	shards := Partition(ix.WIDs(), cfg.Shards, cfg.Policy)
 	breakers := make([]*Breaker, len(shards))
 	for i := range breakers {
 		breakers[i] = NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown)
 	}
-	return &Executor{src: src, cfg: cfg, shards: shards, breakers: breakers}
+	return &Executor{ix: ix, cfg: cfg, shards: shards, breakers: breakers}
 }
 
 // Shards returns the partition (callers must not modify it).
@@ -322,7 +321,7 @@ func (x *Executor) runShard(ctx context.Context, tr *obs.Trace, p pattern.Node, 
 			err:     fmt.Errorf("circuit breaker open for shard %d (%s)", sh.ID, sh.RangeString()),
 		}
 	}
-	ev := eval.New(x.src, opts)
+	ev := eval.New(x.ix, opts)
 	var res shardResult
 	for attempt := 1; ; attempt++ {
 		res.attempts = attempt

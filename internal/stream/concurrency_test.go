@@ -9,7 +9,7 @@ import (
 
 // The Monitor's concurrency contract under the race detector: one writer
 // ingesting a full clinic log while readers hammer Query, the accessors and
-// the RLock/Source window the server's query path uses. Answers read mid-
+// the RLock/Index window the server's query path uses. Answers read mid-
 // stream must be internally consistent (a frozen view), and the final state
 // must match a serial ingest of the same log.
 func TestMonitorConcurrentIngestQuery(t *testing.T) {
@@ -43,14 +43,14 @@ func TestMonitorConcurrentIngestQuery(t *testing.T) {
 				_ = m.Records()
 				_ = m.LastLSN()
 				_ = m.FiredInstances("refer")
-				// The server's pattern: freeze the backend, read it twice;
+				// The server's pattern: freeze the index, read it twice;
 				// both reads must agree because appends are locked out.
 				m.RLock()
-				a := m.Source().TotalRecords()
-				b := m.Source().TotalRecords()
+				a := m.Index().TotalRecords()
+				b := m.Index().TotalRecords()
 				m.RUnlock()
 				if a != b {
-					t.Errorf("Source changed under RLock: %d then %d", a, b)
+					t.Errorf("Index changed under RLock: %d then %d", a, b)
 					return
 				}
 			}
@@ -123,7 +123,7 @@ func TestMonitorValidateDoesNotMutate(t *testing.T) {
 	}
 }
 
-// NewMonitorOn over a pre-loaded backend must continue the lsn and seq
+// NewMonitorOn over a pre-loaded index must continue the lsn and seq
 // sequences where the snapshot ends — the startup path of live ingestion.
 func TestMonitorOnPreloadedBackend(t *testing.T) {
 	l, err := clinic.Generate(10, 3)
@@ -135,12 +135,12 @@ func TestMonitorOnPreloadedBackend(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Preload a fresh backend with the same records, then resume.
+	// Preload a fresh index with the same records, then resume.
 	pre := NewMonitor(nil)
 	if err := pre.IngestLog(l); err != nil {
 		t.Fatal(err)
 	}
-	resumed := NewMonitorOn(nil, pre.backend)
+	resumed := NewMonitorOn(nil, pre.ix)
 	if resumed.LastLSN() != serial.LastLSN() {
 		t.Fatalf("resumed lsn %d, want %d", resumed.LastLSN(), serial.LastLSN())
 	}

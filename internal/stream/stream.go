@@ -12,10 +12,9 @@
 // Concurrency contract: a Monitor is safe for concurrent use. Ingest takes
 // the write lock; Query, Validate and every accessor take the read lock.
 // Callers that need a stable view across several calls (the server's query
-// path reads the Source for planning, then evaluates, then caches) bracket
-// them with RLock/RUnlock — the backend is immutable while the read lock is
-// held, which is exactly the immutability an eval.Evaluator requires of its
-// Source.
+// path reads the Index for planning, then evaluates, then caches) bracket
+// them with RLock/RUnlock — the index is immutable while the read lock is
+// held, which is exactly the immutability an eval.Evaluator requires of it.
 package stream
 
 import (
@@ -28,16 +27,6 @@ import (
 	"wlq/internal/core/pattern"
 	"wlq/internal/wlog"
 )
-
-// Backend is the incrementally-maintained index a Monitor appends to: an
-// eval.Source that also supports Algorithm 2 maintenance one record at a
-// time. eval.Index is the row backend; colstore.LiveStore is the
-// columnar-symbol backend. Append must only be called while the Monitor's
-// write lock is held (the Monitor guarantees this).
-type Backend interface {
-	eval.Source
-	Append(r wlog.Record)
-}
 
 // Alert reports a watch firing: the named pattern gained its first incident
 // in some workflow instance.
@@ -89,7 +78,7 @@ type watch struct {
 // Safe for concurrent use; see the package comment for the lock contract.
 type Monitor struct {
 	mu      sync.RWMutex
-	backend Backend
+	ix      *eval.Index
 	ev      *eval.Evaluator
 	handler Handler
 	watches []*watch
@@ -100,22 +89,23 @@ type Monitor struct {
 	alerts  int
 }
 
-// NewMonitor creates a Monitor over a fresh row backend (eval.Index),
+// NewMonitor creates a Monitor over a fresh, empty eval.Index,
 // delivering alerts to handler (which may be nil when only the Alerts
 // counter and FiredInstances are wanted).
 func NewMonitor(handler Handler) *Monitor {
 	return NewMonitorOn(handler, eval.NewEmptyIndex())
 }
 
-// NewMonitorOn creates a Monitor over an existing backend — typically one
+// NewMonitorOn creates a Monitor over an existing index — typically one
 // pre-loaded from a base snapshot, so live appends continue where the
-// snapshot ends. nextLSN picks up after the backend's newest record.
-func NewMonitorOn(handler Handler, backend Backend) *Monitor {
+// snapshot ends. nextLSN picks up after the index's newest record. The
+// Monitor takes ownership: only Ingest may append to ix afterwards.
+func NewMonitorOn(handler Handler, ix *eval.Index) *Monitor {
 	next := uint64(1)
 	nextSeq := make(map[uint64]uint64)
 	ended := make(map[uint64]struct{})
-	for _, wid := range backend.WIDs() {
-		recs := backend.Instance(wid)
+	for _, wid := range ix.WIDs() {
+		recs := ix.Instance(wid)
 		if len(recs) == 0 {
 			continue
 		}
@@ -131,8 +121,8 @@ func NewMonitorOn(handler Handler, backend Backend) *Monitor {
 		}
 	}
 	return &Monitor{
-		backend: backend,
-		ev:      eval.New(backend, eval.Options{}),
+		ix:      ix,
+		ev:      eval.New(ix, eval.Options{}),
 		handler: handler,
 		nextLSN: next,
 		nextSeq: nextSeq,
@@ -216,7 +206,7 @@ func (m *Monitor) Ingest(r wlog.Record) error {
 		return err
 	}
 
-	m.backend.Append(r)
+	m.ix.Append(r)
 	m.nextLSN++
 	m.nextSeq[r.WID] = r.Seq + 1
 	if r.IsEnd() {
@@ -280,7 +270,7 @@ func (m *Monitor) FiredInstances(name string) int {
 func (m *Monitor) Records() int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return m.backend.TotalRecords()
+	return m.ix.TotalRecords()
 }
 
 // LastLSN returns the lsn of the newest ingested record (0 when empty).
@@ -290,18 +280,18 @@ func (m *Monitor) LastLSN() uint64 {
 	return m.nextLSN - 1
 }
 
-// Source exposes the backend for read-only planning and evaluation. The
-// caller must hold the Monitor's read lock (RLock) for the whole time it
-// reads the Source — the lock is what makes the Source "immutable" in the
-// sense eval.Evaluator requires.
-func (m *Monitor) Source() eval.Source { return m.backend }
+// Index exposes the index for read-only planning and evaluation. The caller
+// must hold the Monitor's read lock (RLock) for the whole time it reads the
+// Index — the lock is what makes the Index "immutable" in the sense
+// eval.Evaluator requires.
+func (m *Monitor) Index() *eval.Index { return m.ix }
 
 // LastLSNLocked returns the watermark without acquiring the lock. The
 // caller must already hold RLock: re-acquiring the read lock while holding
 // it can deadlock behind a queued writer (sync.RWMutex is not reentrant).
 func (m *Monitor) LastLSNLocked() uint64 { return m.nextLSN - 1 }
 
-// RLock takes the Monitor's read lock, freezing the backend against
+// RLock takes the Monitor's read lock, freezing the index against
 // appends; pair with RUnlock.
 func (m *Monitor) RLock() { m.mu.RLock() }
 

@@ -40,7 +40,6 @@ import (
 
 	"wlq/internal/analytics"
 	"wlq/internal/clinic"
-	"wlq/internal/colstore"
 	"wlq/internal/core/eval"
 	"wlq/internal/core/incident"
 	"wlq/internal/core/pattern"
@@ -51,7 +50,6 @@ import (
 	"wlq/internal/obs"
 	"wlq/internal/resilience"
 	"wlq/internal/shard"
-	"wlq/internal/stats"
 	"wlq/internal/stream"
 	"wlq/internal/wlog"
 )
@@ -249,13 +247,11 @@ func ClinicLogTimed(instances int, seed int64) (*Log, error) {
 // concurrent use: all state is immutable after construction.
 type Engine struct {
 	log      *Log
-	src      eval.Source
+	ix       *eval.Index
 	strategy Strategy
 	optimize bool
 	limit    int
 	budget   Budget
-	columnar bool
-	stats    *stats.Registry
 }
 
 // Option configures an Engine.
@@ -286,83 +282,22 @@ func WithBudget(b Budget) Option {
 	return func(e *Engine) { e.budget = b }
 }
 
-// WithColumnar selects the columnar storage backend (internal/colstore):
-// interned activity symbols and per-activity posting lists instead of the
-// row-oriented per-instance maps. Answers are identical on either backend
-// (enforced by the cross-backend equivalence suite); the trade-off is
-// purely physical — see docs/STORAGE.md.
-func WithColumnar() Option {
-	return func(e *Engine) { e.columnar = true }
-}
-
-// StatsRegistry accumulates per-log evaluation statistics — activity match
-// counts and observed operator selectivities — and derives the measured
-// selectivities the adaptive cost model ranks plans with. See WithStats and
-// docs/OBSERVABILITY.md.
-type StatsRegistry = stats.Registry
-
-// NewStatsRegistry returns an empty statistics registry.
-func NewStatsRegistry() *StatsRegistry { return stats.New() }
-
-// LoadStats reads a statistics snapshot from path. A missing file yields an
-// empty registry; a corrupt or schema-mismatched file is an error.
-func LoadStats(path string) (*StatsRegistry, error) { return stats.Load(path) }
-
-// SaveStats writes the registry's snapshot atomically to path.
-func SaveStats(reg *StatsRegistry, path string) error { return reg.Save(path) }
-
-// StatsPathFor returns the default statistics snapshot path for a -log spec
-// (the log path plus ".stats.json"), or "" for synthetic specs like "fig3"
-// or "clinic:1500:42" that have no file to sit next to.
-func StatsPathFor(spec string) string { return stats.PathFor(spec) }
-
-// WithStats attaches a statistics registry, turning on the adaptive cost
-// model: queries are metered, successful complete evaluations feed the
-// registry, and the optimizer ranks plans with the measured selectivities
-// once enough evidence accumulates (the model constants until then).
-// Partial, budget-tripped, and failed evaluations never contribute. The
-// registry may be shared across engines over the same log and is safe for
-// concurrent use; nil is allowed and leaves the engine fully static.
-func WithStats(reg *StatsRegistry) Option {
-	return func(e *Engine) { e.stats = reg }
-}
-
-// NewEngine indexes the log and returns a query engine. The storage
-// backend is built after the options are applied, so WithColumnar controls
-// which representation is constructed.
+// NewEngine indexes the log and returns a query engine.
 func NewEngine(l *Log, opts ...Option) *Engine {
 	e := &Engine{
 		log:      l,
+		ix:       eval.NewIndex(l),
 		strategy: StrategyMerge,
 		optimize: true,
 	}
 	for _, opt := range opts {
 		opt(e)
 	}
-	if e.columnar {
-		e.src = colstore.Build(l)
-	} else {
-		e.src = eval.NewIndex(l)
-	}
 	return e
 }
 
 // Log returns the engine's log.
 func (e *Engine) Log() *Log { return e.log }
-
-// Stats returns the attached statistics registry, or nil when the engine is
-// static.
-func (e *Engine) Stats() *StatsRegistry { return e.stats }
-
-// selectivities returns the cost-model selectivities for this engine's
-// queries: measured values from the registry when attached and warmed, the
-// model constants otherwise.
-func (e *Engine) selectivities() rewrite.Selectivities {
-	if e.stats != nil {
-		return e.stats.Selectivities()
-	}
-	return rewrite.ModelSelectivities()
-}
 
 // prepare parses and (optionally) optimizes a query.
 func (e *Engine) prepare(query string) (Pattern, error) {
@@ -375,38 +310,23 @@ func (e *Engine) prepare(query string) (Pattern, error) {
 
 func (e *Engine) preparePattern(p Pattern) Pattern {
 	if e.optimize {
-		p, _ = rewrite.OptimizeWith(p, e.src, e.selectivities())
+		p, _ = rewrite.Optimize(p, e.ix)
 	}
 	return p
 }
 
 func (e *Engine) evaluator() *eval.Evaluator {
-	return eval.New(e.src, eval.Options{Strategy: e.strategy, Limit: e.limit, Budget: e.budget})
+	return eval.New(e.ix, eval.Options{Strategy: e.strategy, Limit: e.limit, Budget: e.budget})
 }
 
 // evalSet evaluates a prepared plan, routing through the budget-enforcing
-// path when a budget is set (the plain Eval has no error channel). With a
-// statistics registry attached the evaluation is metered and — only on
-// success, so truncated runs never bias the registry — flushed into it.
+// path when a budget is set (the plain Eval has no error channel).
 func (e *Engine) evalSet(p Pattern) (*IncidentSet, error) {
-	var meter *eval.Meter
-	opts := eval.Options{Strategy: e.strategy, Limit: e.limit, Budget: e.budget}
-	if e.stats != nil {
-		meter = eval.NewMeter(p)
-		opts.Meter = meter
-	}
-	ev := eval.New(e.src, opts)
+	ev := e.evaluator()
 	if !e.budget.IsZero() {
-		set, err := ev.EvalParallelCtx(context.Background(), p, 1, nil)
-		if err != nil {
-			return nil, err
-		}
-		meter.Flush(e.stats)
-		return set, nil
+		return ev.EvalParallelCtx(context.Background(), p, 1, nil)
 	}
-	set := ev.Eval(p)
-	meter.Flush(e.stats)
-	return set, nil
+	return ev.Eval(p), nil
 }
 
 // Query evaluates a textual query and returns its incident set incL(p).
@@ -443,19 +363,8 @@ func (e *Engine) QuerySharded(ctx context.Context, query string, shards int) (*I
 		return nil, nil, err
 	}
 	opts := eval.Options{Strategy: e.strategy, Limit: e.limit, Budget: e.budget}
-	var meter *eval.Meter
-	if e.stats != nil {
-		meter = eval.NewMeter(p)
-		opts.Meter = meter
-	}
-	x := shard.NewExecutor(e.src, shard.Config{Shards: shards})
-	set, comp, err := x.Execute(ctx, p, opts, nil)
-	// Only a fully complete sharded answer feeds the registry: excluded
-	// shards mean under-counted outputs, which would read as selectivity.
-	if err == nil && comp != nil && comp.Complete {
-		meter.Flush(e.stats)
-	}
-	return set, comp, err
+	x := shard.NewExecutor(e.ix, shard.Config{Shards: shards})
+	return x.Execute(ctx, p, opts, nil)
 }
 
 // Exists reports whether any incident of the query exists, short-circuiting
@@ -485,7 +394,7 @@ func (e *Engine) GroupByAttr(query, attr string) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	return analytics.GroupBy(set, analytics.ByAttr(e.src, attr)), nil
+	return analytics.GroupBy(set, analytics.ByAttr(e.ix, attr)), nil
 }
 
 // GroupByInstanceAttr is GroupByAttr but draws the key from anywhere in the
@@ -496,7 +405,7 @@ func (e *Engine) GroupByInstanceAttr(query, attr string) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	return analytics.GroupBy(set, analytics.ByInstanceAttr(e.src, attr)), nil
+	return analytics.GroupBy(set, analytics.ByInstanceAttr(e.ix, attr)), nil
 }
 
 // InstancesMatching returns the ids of workflow instances with at least one
@@ -547,7 +456,7 @@ func (e *Engine) Durations(query string) (DurationStats, error) {
 	if err != nil {
 		return DurationStats{}, err
 	}
-	return analytics.Durations(e.src, set), nil
+	return analytics.Durations(e.ix, set), nil
 }
 
 // DistinctInstances evaluates the query and counts the workflow instances
@@ -562,7 +471,7 @@ func (e *Engine) DistinctInstances(query string) (int, error) {
 
 // IncidentRecords materializes an incident back into its log records.
 func (e *Engine) IncidentRecords(inc Incident) []Record {
-	return analytics.Records(e.src, inc)
+	return analytics.Records(e.ix, inc)
 }
 
 // AtomBinding explains one atom of a matched pattern: which record (by
@@ -586,7 +495,7 @@ func (e *Engine) BindIncident(query string, inc Incident) ([]AtomBinding, error)
 	if err != nil {
 		return nil, err
 	}
-	bindings, ok := eval.New(e.src, eval.Options{}).Bindings(p, inc)
+	bindings, ok := eval.New(e.ix, eval.Options{}).Bindings(p, inc)
 	if !ok {
 		return nil, fmt.Errorf("wlq: %v is not an incident of %q", inc, query)
 	}
@@ -648,19 +557,18 @@ func (e *Engine) QueryTraced(ctx context.Context, query string) (*IncidentSet, *
 	sp.SetAttr("key", pattern.CanonicalKey(p))
 	sp.End()
 
-	sel := e.selectivities()
 	plan := pattern.Node(p)
 	if e.optimize {
 		sp = tr.StartSpan("rewrite")
 		var rt rewrite.Trace
-		plan, rt = rewrite.ExplainWith(p, e.src, sel)
+		plan, rt = rewrite.Explain(p, e.ix)
 		obs.RewriteSpans(sp, rt)
 		sp.End()
 	}
 
 	meter := eval.NewMeter(plan)
 	sp = tr.StartSpan("eval")
-	ev := eval.New(e.src, eval.Options{Strategy: e.strategy, Limit: e.limit, Meter: meter, Budget: e.budget})
+	ev := eval.New(e.ix, eval.Options{Strategy: e.strategy, Limit: e.limit, Meter: meter, Budget: e.budget})
 	var qs eval.QueryStats
 	set, err := ev.EvalParallelCtx(ctx, plan, 0, &qs)
 	if err != nil {
@@ -672,17 +580,16 @@ func (e *Engine) QueryTraced(ctx context.Context, query string) (*IncidentSet, *
 	sp.SetAttr("workers", qs.Workers)
 	sp.SetAttr("instances", qs.Instances)
 	sp.SetAttr("incidents", qs.Incidents)
-	obs.EvalSpansWith(sp, plan, meter, sel)
+	obs.EvalSpans(sp, plan, meter)
 	sp.End()
 	tr.End()
-	meter.Flush(e.stats)
 
 	return set, &obs.QueryTrace{
 		Query:     query,
 		Plan:      plan.String(),
 		Strategy:  e.strategy.String(),
 		Spans:     tr.Root(),
-		CostTable: obs.CostTableWith(plan, meter, sel),
+		CostTable: obs.CostTable(plan, meter),
 	}, nil
 }
 
@@ -693,27 +600,18 @@ func (e *Engine) Explain(query string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	sel := e.selectivities()
 	out := "query:     " + p.String() + "\n"
 	out += "paper form: " + pattern.Pretty(p) + "\n"
 	out += "incident tree:\n" + pattern.TreeString(p)
 	if e.optimize {
-		opt, ex := rewrite.OptimizeWith(p, e.src, sel)
+		opt, ex := rewrite.Optimize(p, e.ix)
 		if !pattern.Equal(p, opt) {
 			out += "optimized: " + opt.String() + "\n"
 		}
 		out += "plan:      " + ex.String() + "\n"
 	} else {
-		est := rewrite.NewEstimatorWith(e.src, sel)
+		est := rewrite.NewEstimator(e.ix)
 		out += fmt.Sprintf("plan:      estimated cost %.4g (optimizer off)\n", est.Cost(p))
-	}
-	if e.stats != nil {
-		out += fmt.Sprintf("cost model: adaptive (measured=%v; consecutive=%.4g %s, sequential=%.4g %s, parallel=%.4g %s, guard=%.4g %s)\n",
-			sel.Measured(),
-			sel.Consecutive, sel.ConsecutiveSource,
-			sel.Sequential, sel.SequentialSource,
-			sel.Parallel, sel.ParallelSource,
-			sel.Guard, sel.GuardSource)
 	}
 	return out, nil
 }

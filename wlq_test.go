@@ -1,7 +1,6 @@
 package wlq_test
 
 import (
-	"context"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -406,52 +405,5 @@ func TestDurationsThroughFacade(t *testing.T) {
 	}
 	if st2.Counted != 0 || st2.Skipped == 0 {
 		t.Errorf("unstamped stats = %+v", st2)
-	}
-}
-
-func TestEngineColumnarEquivalent(t *testing.T) {
-	log, err := wlq.ClinicLog(60, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	row := wlq.NewEngine(log)
-	col := wlq.NewEngine(log, wlq.WithColumnar())
-	for _, q := range []string{
-		"GetRefer . CheckIn",
-		"(SeeDoctor -> PayTreatment) | (SeeDoctor -> UpdateRefer)",
-		"UpdateRefer & TakeTreatment",
-		"!SeeDoctor . END",
-	} {
-		a, err := row.Query(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := col.Query(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !a.Equal(b) {
-			t.Errorf("columnar engine disagrees on %q:\nrow:      %s\ncolumnar: %s", q, a, b)
-		}
-		rc, err := row.Count(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cc, err := col.Count(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rc != cc {
-			t.Errorf("columnar Count disagrees on %q: row %d, columnar %d", q, rc, cc)
-		}
-	}
-	// The sharded path over the columnar backend.
-	a, _, err := col.QuerySharded(context.Background(), "UpdateRefer & TakeTreatment", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _ := row.Query("UpdateRefer & TakeTreatment")
-	if !a.Equal(b) {
-		t.Error("sharded columnar result differs from row result")
 	}
 }
