@@ -58,12 +58,18 @@ examples:
 	$(GO) run ./examples/audit
 	$(GO) run ./examples/monitor
 
-# Short fuzzing pass over the parsers and codecs.
+# Short fuzzing pass over the parsers, codecs and the sharded evaluator —
+# the same targets as the CI fuzz smoke, run longer.
 fuzz:
-	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/core/pattern/
-	$(GO) test -fuzz=FuzzDecodeText -fuzztime=30s ./internal/logio/
-	$(GO) test -fuzz=FuzzDecodeJSONL -fuzztime=30s ./internal/logio/
-	$(GO) test -fuzz=FuzzScanSegment -fuzztime=30s ./internal/wal/
+	$(GO) test -fuzz=FuzzParse -fuzztime=30s -run XXX ./internal/core/pattern/
+	$(GO) test -fuzz=FuzzPostfix -fuzztime=30s -run XXX ./internal/core/pattern/
+	$(GO) test -fuzz=FuzzDecodeText -fuzztime=30s -run XXX ./internal/logio/
+	$(GO) test -fuzz=FuzzDecodeJSONL -fuzztime=30s -run XXX ./internal/logio/
+	$(GO) test -fuzz=FuzzImportCSV -fuzztime=30s -run XXX ./internal/logio/
+	$(GO) test -fuzz=FuzzImportXES -fuzztime=30s -run XXX ./internal/logio/
+	$(GO) test -fuzz=FuzzParseValue -fuzztime=30s -run XXX ./internal/logio/
+	$(GO) test -fuzz=FuzzScanSegment -fuzztime=30s -run XXX ./internal/wal/
+	$(GO) test -fuzz=FuzzShardedEquivalence -fuzztime=30s -run XXX ./internal/shard/
 
 clean:
 	$(GO) clean ./...

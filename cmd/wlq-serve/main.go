@@ -119,6 +119,10 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			"coordinator's per-attempt deadline for one worker request (0 = default 5s)")
 		workerAttempts = fs.Int("worker-attempts", 0,
 			"coordinator's request attempts per worker per query, first try included (0 = default 2)")
+		breakerThreshold = fs.Int("breaker-threshold", 0,
+			"coordinator's consecutive failed requests that open a worker's circuit breaker (0 = default 5)")
+		breakerCooldown = fs.Duration("breaker-cooldown", 0,
+			"how long an open worker breaker waits before admitting a probe request (coordinator only; 0 = default 30s)")
 		hedgeAfter = fs.Duration("hedge-after", 0,
 			"duplicate a worker request that has not answered within this delay and take the first response (0 disables hedging)")
 		probeInterval = fs.Duration("probe-interval", 0,
@@ -142,13 +146,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			"pending appends admitted per log before backpressure sheds with 429 (0 = default 256)")
 
 		shards = fs.Int("shards", 0,
-			"evaluate each query across this many isolated wid-range failure domains with per-shard retries and circuit breakers; a lost shard degrades the result instead of failing it (0 = off, negative = GOMAXPROCS)")
-		shardAttempts = fs.Int("shard-attempts", 0,
-			"evaluation attempts per shard before it is excluded from the result (0 = default 3)")
-		breakerThreshold = fs.Int("breaker-threshold", 0,
-			"consecutive shard failures that open its circuit breaker (0 = default 5)")
-		breakerCooldown = fs.Duration("breaker-cooldown", 0,
-			"how long an open shard breaker waits before admitting a probe (0 = default 30s)")
+			"evaluate each query across this many isolated wid-range failure domains, each run once with its own budget slice and panic isolation; a lost shard degrades the result instead of failing it (0 = off, negative = GOMAXPROCS)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -194,13 +192,11 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			return errors.New("-cluster-workers: no worker URLs")
 		}
 		clusterCfg = &cluster.Config{
-			Workers:       urls,
-			HashReplicas:  *hashReplicas,
-			WorkerTimeout: *workerTimeout,
-			MaxAttempts:   *workerAttempts,
-			HedgeAfter:    *hedgeAfter,
-			// The breaker flags tune whichever failure-domain tier is active:
-			// in-process shards on a single node, workers on a coordinator.
+			Workers:                 urls,
+			HashReplicas:            *hashReplicas,
+			WorkerTimeout:           *workerTimeout,
+			MaxAttempts:             *workerAttempts,
+			HedgeAfter:              *hedgeAfter,
 			BreakerThreshold:        *breakerThreshold,
 			BreakerCooldown:         *breakerCooldown,
 			DisableTracePropagation: !*tracePropagation,
@@ -224,9 +220,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		MaxPredictedCost: *maxCost,
 		Loader:           wlq.OpenLog,
 		Shards:           *shards,
-		ShardAttempts:    *shardAttempts,
-		BreakerThreshold: *breakerThreshold,
-		BreakerCooldown:  *breakerCooldown,
 		WorkerMode:       *worker,
 		Cluster:          clusterCfg,
 		ProbeInterval:    *probeInterval,

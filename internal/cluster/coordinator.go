@@ -55,14 +55,11 @@ type Config struct {
 	// MaxAttempts caps request attempts per worker per query, the first try
 	// included (0 = DefaultMaxAttempts).
 	MaxAttempts int
-	// Backoff schedules the delay between a worker's attempts (zero value =
-	// shard backoff defaults: 10ms base, 2x growth, 1s cap, 20% jitter).
-	Backoff shard.Backoff
 	// BreakerThreshold opens a worker's circuit breaker after this many
-	// consecutive failed attempts (0 = shard.DefaultBreakerThreshold).
+	// consecutive failed attempts (0 = DefaultBreakerThreshold).
 	BreakerThreshold int
 	// BreakerCooldown is the open → half-open delay
-	// (0 = shard.DefaultBreakerCooldown).
+	// (0 = DefaultBreakerCooldown).
 	BreakerCooldown time.Duration
 	// HedgeAfter, when positive, duplicates a worker request that has not
 	// answered within the delay and takes whichever response lands first —
@@ -75,8 +72,8 @@ type Config struct {
 	// here to fail, slow or blackhole exact requests without killing
 	// processes.
 	Transport http.RoundTripper
-	// Sleep waits between attempts (nil = time.Sleep); tests inject a
-	// recording no-op.
+	// Sleep waits out the backoff delay between attempts (nil = time.Sleep);
+	// tests inject a recording no-op.
 	Sleep func(time.Duration)
 	// Rand draws the backoff jitter uniform in [0,1) (nil = math/rand).
 	Rand func() float64
@@ -121,7 +118,7 @@ func (c Config) withDefaults() Config {
 // latest health-probe verdict.
 type workerState struct {
 	name    string
-	breaker *shard.Breaker
+	breaker *Breaker
 
 	mu       sync.Mutex
 	probed   bool // at least one probe has run
@@ -187,7 +184,7 @@ func New(cfg Config) (*Coordinator, error) {
 	for i, name := range cfg.Workers {
 		workers[i] = &workerState{
 			name:    name,
-			breaker: shard.NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
+			breaker: NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
 			healthy: true, // optimistic until a probe or request says otherwise
 		}
 		hists[name] = obs.NewHistogram(DurationBucketsUS)
@@ -288,16 +285,12 @@ type ExecOptions struct {
 	Budget resilience.Budget
 }
 
-// workerResult is one worker's terminal outcome within a query.
+// workerResult is one worker's terminal outcome within a query: the
+// shard.Gather outcome plus the network-tier detail the Fanout reports.
 type workerResult struct {
-	incs      []incident.Incident
-	instances int
-	attempts  int
-	retries   int
+	shard.Outcome
 	hedges    int
 	hedgeWin  bool
-	err       error
-	skipped   bool
 	elapsedUS int64
 	spanCount int
 	costTable []obs.CostRow
@@ -305,8 +298,8 @@ type workerResult struct {
 
 // Execute evaluates the plan across the worker fleet: each worker owning
 // wids gets one request (with retries, hedging and breaker admission) and
-// the surviving answers merge through incident.NewSet's normalization —
-// byte-identical to a single-node evaluation when every worker answers.
+// the surviving answers merge through shard.Gather — byte-identical to a
+// single-node evaluation when every worker answers.
 //
 // The returned error is non-nil only when the whole query is lost (context
 // cancelled, or no worker produced an answer). Otherwise the Completeness
@@ -314,28 +307,18 @@ type workerResult struct {
 // excluded worker's wid set named by envelope and exact ranges.
 func (c *Coordinator) Execute(ctx context.Context, logName string, plan pattern.Node, opts ExecOptions, qs *eval.QueryStats) (*incident.Set, *shard.Completeness, Fanout, error) {
 	c.fanouts.Add(1)
-	assignments := c.ring.Assignments(opts.WIDs)
 	// Active workers: those owning at least one wid. Idle workers are not
 	// contacted and not counted as shards.
-	type active struct {
-		wi   int
-		wids []uint64
-	}
-	var fleet []active
-	for wi, wids := range assignments {
+	var fleet []shard.Shard
+	for wi, wids := range c.ring.Assignments(opts.WIDs) {
 		if len(wids) > 0 {
-			fleet = append(fleet, active{wi: wi, wids: wids})
+			fleet = append(fleet, shard.Shard{
+				ID: wi, WIDs: wids, MinWID: wids[0], MaxWID: wids[len(wids)-1],
+				Worker: c.workers[wi].name,
+			})
 		}
 	}
-	comp := &shard.Completeness{Shards: len(fleet)}
 	fan := Fanout{Workers: len(fleet)}
-	if len(fleet) == 0 {
-		comp.Complete = true
-		if qs != nil {
-			qs.Workers = 1
-		}
-		return &incident.Set{}, comp, fan, nil
-	}
 
 	req := WorkerQueryRequest{
 		Log:      logName,
@@ -366,108 +349,47 @@ func (c *Coordinator) Execute(ctx context.Context, logName string, plan pattern.
 	}
 
 	results := make([]workerResult, len(fleet))
-	var wg sync.WaitGroup
-	for i, a := range fleet {
-		wg.Add(1)
-		go func(i int, a active) {
-			defer wg.Done()
-			results[i] = c.runWorker(ctx, scatter, traceID, a.wi, req, len(a.wids))
-		}(i, a)
-	}
-	wg.Wait()
-	scatter.End()
+	set, comp, err := shard.Gather(ctx, scatter, fleet, func(i int) shard.Outcome {
+		results[i] = c.runWorker(ctx, scatter, traceID, fleet[i].ID, req, len(fleet[i].WIDs))
+		return results[i].Outcome
+	}, qs)
 
-	msp := tr.StartSpan("merge")
-	defer msp.End()
-	var (
-		merged    []incident.Incident
-		firstErr  error
-		instances int
-		tables    [][]obs.CostRow
-	)
+	fan.Attempted, fan.Succeeded = comp.Attempted, comp.Succeeded
+	fan.Failed, fan.Skipped, fan.Retries = comp.Failed, comp.Skipped, comp.Retries
+	var tables [][]obs.CostRow
 	fan.PerWorker = make([]WorkerCall, 0, len(fleet))
 	for i, r := range results {
-		a := fleet[i]
-		comp.Retries += r.retries
-		fan.Retries += r.retries
 		fan.Hedged += r.hedges
 		if r.hedgeWin {
 			fan.HedgeWins++
 		}
 		call := WorkerCall{
-			Worker:      c.workers[a.wi].name,
-			WIDs:        len(a.wids),
-			Attempts:    r.attempts,
-			Retries:     r.retries,
+			Worker:      fleet[i].Worker,
+			WIDs:        len(fleet[i].WIDs),
+			Status:      "ok",
+			Attempts:    r.Attempts,
+			Retries:     r.Retries,
 			Hedges:      r.hedges,
 			HedgeWon:    r.hedgeWin,
-			BreakerSkip: r.skipped,
+			BreakerSkip: r.Skipped,
 			ElapsedUS:   r.elapsedUS,
-			Incidents:   len(r.incs),
+			Incidents:   len(r.Incidents),
 			TraceSpans:  r.spanCount,
 		}
 		switch {
-		case r.skipped:
-			call.Status = "skipped"
-			call.Error = r.err.Error()
-			comp.Skipped++
-			fan.Skipped++
-			comp.ExcludedWIDs += len(a.wids)
-			comp.Failures = append(comp.Failures, c.outcome(a.wi, a.wids, r))
-		case r.err != nil:
-			call.Status = "failed"
-			call.Error = r.err.Error()
-			comp.Attempted++
-			fan.Attempted++
-			comp.Failed++
-			fan.Failed++
-			comp.ExcludedWIDs += len(a.wids)
-			comp.Failures = append(comp.Failures, c.outcome(a.wi, a.wids, r))
-			if firstErr == nil {
-				firstErr = fmt.Errorf("worker %s: %w", c.workers[a.wi].name, r.err)
-			}
+		case r.Skipped:
+			call.Status, call.Error = "skipped", r.Err.Error()
+		case r.Err != nil:
+			call.Status, call.Error = "failed", r.Err.Error()
 		default:
-			call.Status = "ok"
-			comp.Attempted++
-			fan.Attempted++
-			comp.Succeeded++
-			fan.Succeeded++
-			merged = append(merged, r.incs...)
-			instances += r.instances
-			if len(r.costTable) > 0 {
-				tables = append(tables, r.costTable)
-			}
+			tables = append(tables, r.costTable)
 		}
 		fan.PerWorker = append(fan.PerWorker, call)
 	}
 	// Only merged answers feed the fleet table: a failed worker's partial
 	// measurements would skew the measured-vs-predicted comparison.
 	fan.CostTable = obs.AggregateCostTables(tables...)
-	comp.Complete = comp.Succeeded == comp.Shards
-	msp.SetAttr("workers_merged", comp.Succeeded)
-	msp.SetAttr("incidents", len(merged))
-	if qs != nil {
-		qs.Workers = len(fleet)
-		qs.Shards = len(fleet)
-		qs.ShardsFailed = comp.Failed + comp.Skipped
-		qs.ShardRetries = comp.Retries
-		qs.Instances += instances
-		qs.Incidents += len(merged)
-	}
-
-	if err := ctx.Err(); err != nil {
-		return nil, comp, fan, err
-	}
-	if comp.Succeeded == 0 {
-		if firstErr == nil {
-			firstErr = fmt.Errorf("all %d workers skipped by open circuit breakers", comp.Shards)
-		}
-		return nil, comp, fan, firstErr
-	}
-	// Consistent hashing scatters wids across workers, so the concatenation
-	// is interleaved; NewSet performs the real merge (normalize + sort),
-	// exactly as the in-process executor does under PolicyHash.
-	return incident.NewSet(merged...), comp, fan, nil
+	return set, comp, fan, err
 }
 
 // runWorker drives one worker through breaker admission, the retry loop and
@@ -491,21 +413,21 @@ func (c *Coordinator) runWorker(ctx context.Context, parent *obs.Span, traceID s
 		sk.SetAttr("breaker", "open")
 		sk.End()
 		wsp.SetAttr("status", "skipped")
-		return workerResult{
-			skipped: true,
-			err:     fmt.Errorf("circuit breaker open for worker %s", w.name),
-		}
+		err := fmt.Errorf("circuit breaker open for worker %s", w.name)
+		return workerResult{Outcome: shard.Outcome{Skipped: true, Err: err}}
 	}
 	req.Self = w.name
 	body, err := json.Marshal(req)
 	if err != nil {
 		qw.End()
+		w.breaker.Abandon()
 		wsp.SetAttr("status", "failed")
-		return workerResult{attempts: 1, err: fmt.Errorf("encode worker request: %w", err)}
+		err = fmt.Errorf("encode worker request: %w", err)
+		return workerResult{Outcome: shard.Outcome{Attempts: 1, Err: err}}
 	}
 	var res workerResult
 	for attempt := 1; ; attempt++ {
-		res.attempts = attempt
+		res.Attempts = attempt
 		qw.End() // idempotent; first attempt ends the queue wait
 
 		resp, winner, hedged, hedgeWon, err := c.call(ctx, wsp, attempt, traceID, w.name, body)
@@ -537,29 +459,31 @@ func (c *Coordinator) runWorker(ctx context.Context, parent *obs.Span, traceID s
 				obs.Graft(winner, resp.Spans, winner.StartUS)
 			}
 			w.breaker.Success()
-			res.incs = ToIncidents(resp.Incidents)
-			res.instances = resp.Instances
+			res.Incidents = ToIncidents(resp.Incidents)
+			res.Instances = resp.Instances
 			res.elapsedUS = resp.ElapsedUS
 			res.costTable = resp.CostTable
-			res.err = nil
+			res.Err = nil
 			wsp.SetAttr("status", "ok")
 			return res
 		}
-		res.err = err
+		res.Err = err
 		wsp.SetAttr("status", "failed")
 		wsp.SetAttr("error", err.Error())
 		// The parent context dying is not a worker fault: don't trip the
-		// breaker for it, and don't retry into a cancelled query.
+		// breaker for it, and don't retry into a cancelled query. A probe
+		// cancelled this way gives its half-open slot back.
 		if ctx.Err() != nil {
+			w.breaker.Abandon()
 			return res
 		}
 		w.breaker.Failure()
 		if !retryableErr(err) || attempt >= c.cfg.MaxAttempts || !w.breaker.Allow() {
 			return res
 		}
-		res.retries++
+		res.Retries++
 		c.workerRetries.Add(1)
-		delay := c.cfg.Backoff.Delay(attempt, c.cfg.Rand())
+		delay := backoffDelay(attempt, c.cfg.Rand())
 		bsp := wsp.StartChild("backoff")
 		bsp.SetAttr("delay_ms", delay.Milliseconds())
 		bsp.SetAttr("next_attempt", attempt+1)
@@ -706,7 +630,7 @@ func (c *Coordinator) post(ctx context.Context, worker string, body []byte, trac
 		if json.Unmarshal(raw, &ed) == nil && ed.Error != "" {
 			msg = ed.Error
 		}
-		return nil, &WorkerHTTPError{Status: httpResp.StatusCode, Msg: msg}
+		return nil, &WorkerHTTPError{Status: httpResp.StatusCode, Msg: msg, IncidentID: ed.IncidentID}
 	}
 	var wr WorkerQueryResponse
 	if err := json.NewDecoder(httpResp.Body).Decode(&wr); err != nil {
@@ -716,26 +640,13 @@ func (c *Coordinator) post(ctx context.Context, worker string, body []byte, trac
 	return &wr, nil
 }
 
-// outcome renders one excluded worker's ShardOutcome. The envelope bounds
-// the scattered owned set; Ranges names the exact runs when compact enough.
-func (c *Coordinator) outcome(wi int, wids []uint64, r workerResult) shard.ShardOutcome {
-	return shard.ShardOutcome{
-		Shard:    wi,
-		WIDMin:   wids[0],
-		WIDMax:   wids[len(wids)-1],
-		WIDs:     len(wids),
-		Attempts: r.attempts,
-		Cause:    r.err.Error(),
-		Skipped:  r.skipped,
-		Worker:   c.workers[wi].name,
-		Ranges:   shard.RangesOf(wids),
-	}
-}
-
 // WorkerHTTPError is a worker reply with a non-200 status.
 type WorkerHTTPError struct {
 	Status int
 	Msg    string
+	// IncidentID is set when the worker recovered a panic while evaluating
+	// (a 500 carrying the worker-side incident id).
+	IncidentID string
 }
 
 // Error implements error.
@@ -754,8 +665,9 @@ func nonRetryable(err error) error { return &nonRetryableError{err: err} }
 
 // retryableErr classifies a worker attempt failure. Transport-level errors
 // (refused, reset, attempt timeout) and 5xx/429 replies are transient and
-// worth a backed-off retry; 4xx replies and ring mismatches are
-// deterministic — the same request would fail the same way.
+// worth a backed-off retry. 4xx replies, ring mismatches and recovered
+// evaluation panics (a 500 with an incident id) are deterministic — the
+// same plan over the same wids would fail the same way.
 func retryableErr(err error) bool {
 	var nr *nonRetryableError
 	if errors.As(err, &nr) {
@@ -763,6 +675,9 @@ func retryableErr(err error) bool {
 	}
 	var he *WorkerHTTPError
 	if errors.As(err, &he) {
+		if he.IncidentID != "" {
+			return false
+		}
 		return he.Status >= 500 || he.Status == http.StatusTooManyRequests
 	}
 	return true
@@ -806,7 +721,7 @@ func (c *Coordinator) Lost() []string {
 		w.mu.Lock()
 		unhealthy := w.probed && !w.healthy
 		w.mu.Unlock()
-		if unhealthy || w.breaker.State() != shard.BreakerClosed {
+		if unhealthy || w.breaker.State() != BreakerClosed {
 			lost = append(lost, w.name)
 		}
 	}
@@ -817,7 +732,7 @@ func (c *Coordinator) Lost() []string {
 func (c *Coordinator) OpenBreakers() int {
 	open := 0
 	for _, w := range c.workers {
-		if w.breaker.State() != shard.BreakerClosed {
+		if w.breaker.State() != BreakerClosed {
 			open++
 		}
 	}

@@ -1,8 +1,8 @@
 // Package cluster promotes the internal/shard failure-domain boundary to
 // the network: a coordinator places a log's workflow instances on worker
 // nodes by consistent hash, fans each query out over HTTP to the workers
-// owning wids, and merges the per-worker answers through the same
-// answer-preserving normalization the in-process executor uses — so a
+// owning wids, and merges the per-worker answers through shard.Gather, the
+// scatter-gather the in-process executor uses too — so a
 // distributed evaluation is digest-identical to a single-node one, and a
 // lost worker degrades the answer (a 206 with a Completeness document
 // naming the missing wid ranges) instead of failing it.
@@ -13,12 +13,14 @@
 // the network tier adds over in-process shards is real failure independence
 // — a worker process can die, hang, or partition without taking the
 // coordinator's process down — paid for with the full set of
-// network-robustness machinery:
+// network-robustness machinery. It is the only tier that retries: a
+// network fails transiently, while a deterministic evaluation fault
+// replays on every attempt.
 //
 //   - per-worker attempt timeouts and capped-exponential retry with jitter
-//     (reusing shard.Backoff);
-//   - per-worker circuit breakers (shard.Breaker on the resilience clock
-//     seam) so a dead node is skipped, not re-dialed by every query;
+//     (backoffDelay);
+//   - per-worker circuit breakers (Breaker, on the resilience clock seam)
+//     so a dead node is skipped, not re-dialed by every query;
 //   - hedged requests: a straggling worker gets a duplicate request after
 //     a configurable delay, and the first answer wins;
 //   - periodic health probing that feeds the coordinator's /readyz;

@@ -141,16 +141,15 @@ func TestCrossBackendEquivalence(t *testing.T) {
 func TestCrossBackendEquivalenceSharded(t *testing.T) {
 	for logName, l := range equivalenceLogs(t) {
 		batch := eval.NewIndex(l)
-		batchEx := shard.NewExecutor(batch, shard.Config{Shards: 4})
-		liveEx := shard.NewExecutor(buildLive(l), shard.Config{Shards: 4})
+		live := buildLive(l)
 		for _, q := range equivalenceQueries {
 			t.Run(logName+"/"+q, func(t *testing.T) {
 				p := parse(t, q)
-				want, wc, err := batchEx.Execute(context.Background(), p, eval.Options{}, nil)
+				want, wc, err := shard.Execute(context.Background(), batch, 4, p, eval.Options{}, nil)
 				if err != nil {
 					t.Fatalf("batch executor: %v", err)
 				}
-				got, gc, err := liveEx.Execute(context.Background(), p, eval.Options{}, nil)
+				got, gc, err := shard.Execute(context.Background(), live, 4, p, eval.Options{}, nil)
 				if err != nil {
 					t.Fatalf("live executor: %v", err)
 				}

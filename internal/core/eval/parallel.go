@@ -28,16 +28,6 @@ type QueryStats struct {
 	Instances int
 	// Incidents is the number of incidents produced across all instances.
 	Incidents int
-
-	// Sharded-execution accounting, filled by internal/shard when the query
-	// runs under the sharded executor (zero on the single-domain paths).
-	// Shards is the number of failure domains the log was partitioned into;
-	// ShardsFailed counts shards excluded from the result (failed after
-	// retries, or skipped by an open circuit breaker); ShardRetries counts
-	// re-attempts across all shards.
-	Shards       int
-	ShardsFailed int
-	ShardRetries int
 }
 
 // EvalParallel computes incL(p) using up to workers goroutines (0 means

@@ -41,18 +41,17 @@ func runSharded(w io.Writer, quick bool) error {
 		fmt.Sprintf("sharded evaluation, %d instances", instances),
 		"shards", shardCounts,
 		func(v float64) (func(), map[string]float64) {
-			x := shard.NewExecutor(ix, shard.Config{Shards: int(v)})
-			set, comp, err := x.Execute(ctx, p, eval.Options{}, nil)
+			set, comp, err := shard.Execute(ctx, ix, int(v), p, eval.Options{}, nil)
 			same := 0.0
 			if err == nil && comp.Complete && set.Equal(serialSet) {
 				same = 1
 			}
-			return func() { x.Execute(ctx, p, eval.Options{}, nil) },
+			return func() { shard.Execute(ctx, ix, int(v), p, eval.Options{}, nil) },
 				map[string]float64{"|incL|": float64(serialSet.Len()), "equal": same}
 		})
 	fmt.Fprint(w, sw.Table())
 	fmt.Fprintln(w, "expected: equal=1 everywhere — sharding never changes the answer; the")
-	fmt.Fprintln(w, "per-shard overhead (goroutine, breaker check, budget slice) stays small")
+	fmt.Fprintln(w, "per-shard overhead (partition, goroutine, budget slice) stays small")
 	fmt.Fprintln(w)
 
 	// Fault isolation: poison the last eighth of the wid space with a
@@ -69,8 +68,7 @@ func runSharded(w io.Writer, quick bool) error {
 
 	rows := [][]string{{"failure domains", "outcome", "incidents", "wids covered"}}
 	for _, n := range []int{1, 8} {
-		x := shard.NewExecutor(ix, shard.Config{Shards: n, MaxAttempts: 1})
-		set, comp, err := x.Execute(ctx, p, eval.Options{}, nil)
+		set, comp, err := shard.Execute(ctx, ix, n, p, eval.Options{}, nil)
 		outcome := "complete"
 		switch {
 		case err != nil:

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"wlq/internal/cluster"
+	"wlq/internal/core/eval"
 	"wlq/internal/faultinject"
 	"wlq/internal/flightrec"
 	"wlq/internal/gen"
@@ -430,6 +431,55 @@ func TestClusterFaultTransportErrorRetried(t *testing.T) {
 	}
 	if resp.Completeness.Retries != 1 {
 		t.Fatalf("completeness retries = %d, want 1", resp.Completeness.Retries)
+	}
+}
+
+// TestClusterChaosWorkerPanicNotRetried: a worker that recovers an
+// evaluation panic answers 500 with an incident id. Evaluation is
+// deterministic per wid, so re-shipping the same plan to the same wids
+// would replay the panic: the coordinator makes exactly one attempt and
+// degrades the answer to a partial.
+func TestClusterChaosWorkerPanicNotRetried(t *testing.T) {
+	l := chaosLog(t, 16, 2)
+	f := newClusterFixture(t, 2, "chaos", l, func(c *cluster.Config) {
+		c.MaxAttempts = 2
+	}, func(c *Config) { c.CacheSize = -1 })
+	wids := make([]uint64, 16)
+	for i := range wids {
+		wids[i] = uint64(i + 1)
+	}
+	victimIdx, assigned := pickVictim(t, f.coord.Coordinator().Ring(), wids)
+	poisoned := make(map[uint64]bool, len(assigned))
+	for _, wid := range assigned {
+		poisoned[wid] = true
+	}
+	eval.SetEvalHook(func(wid uint64) {
+		if poisoned[wid] {
+			panic("injected worker evaluation fault")
+		}
+	})
+	defer eval.SetEvalHook(nil)
+
+	rec := postQuery(t, f.coord.Handler(), `{"log":"chaos","query":"A -> B","partial":true}`, nil)
+	if rec.Code != http.StatusPartialContent {
+		t.Fatalf("status %d, want 206: %s", rec.Code, rec.Body)
+	}
+	var resp queryResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	c := resp.Completeness
+	if c == nil || c.Failed != 1 || c.Retries != 0 || len(c.Failures) != 1 {
+		t.Fatalf("completeness = %+v, want the victim excluded without retries", c)
+	}
+	if fo := c.Failures[0]; fo.Worker != f.urls[victimIdx] || fo.Attempts != 1 || fo.WIDs != len(assigned) {
+		t.Fatalf("failure = %+v, want one attempt on victim %s (%d wids)", fo, f.urls[victimIdx], len(assigned))
+	}
+	if got := f.coord.Coordinator().Stats().WorkerRetries; got != 0 {
+		t.Fatalf("worker retries = %d, want 0: a recovered panic is deterministic", got)
+	}
+	if rec := postQuery(t, f.coord.Handler(), `{"log":"chaos","query":"A -> B"}`, nil); rec.Code != http.StatusBadGateway {
+		t.Fatalf("strict status %d, want 502: %s", rec.Code, rec.Body)
 	}
 }
 

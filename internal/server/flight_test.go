@@ -159,7 +159,7 @@ func TestChaosFlightRecorderCapturesPanicAndKeepsRegistryClean(t *testing.T) {
 }
 
 func TestChaosFlightRecorderCapturesPartialAndKeepsRegistryClean(t *testing.T) {
-	cfg := Config{Shards: 4, ShardAttempts: 1}
+	cfg := Config{Shards: 4}
 	s := New(cfg)
 	if err := s.AddLog("chaos", "builtin:chaos", chaosLog(t, 16, 3)); err != nil {
 		t.Fatal(err)

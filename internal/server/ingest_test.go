@@ -479,3 +479,40 @@ func TestIngestWALDirCollision(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestIngestShardedQueryCoversAppends: a live log is sharded like any other.
+// The partition is taken per query under the monitor's read lock, so
+// records appended after load land in a shard and the sharded answer equals
+// the unsharded one.
+func TestIngestShardedQueryCoversAppends(t *testing.T) {
+	const appends = `{"wid":4,"seq":1,"act":"START"}
+{"wid":4,"seq":2,"act":"SeeDoctor"}
+{"wid":4,"seq":3,"act":"SeeDoctor"}
+`
+	const query = `{"log":"fig3","query":"SeeDoctor -> SeeDoctor"}`
+	var answers [2]queryResponse
+	for i, shards := range []int{0, 2} {
+		s, _ := newIngestServer(t, Config{Shards: shards})
+		h := s.Handler()
+		if rec := postAppend(t, h, "fig3", appends, nil); rec.Code != http.StatusOK {
+			t.Fatalf("shards=%d append: %d: %s", shards, rec.Code, rec.Body)
+		}
+		if rec := postQuery(t, h, query, &answers[i]); rec.Code != http.StatusOK {
+			t.Fatalf("shards=%d query: %d: %s", shards, rec.Code, rec.Body)
+		}
+	}
+	plain, sharded := answers[0], answers[1]
+	if c := sharded.Completeness; c == nil || !c.Complete || c.Shards != 2 {
+		t.Fatalf("live sharded completeness = %+v, want complete over 2 shards", c)
+	}
+	if digestOf(sharded) != digestOf(plain) {
+		t.Fatalf("live sharded answer %s differs from unsharded %s", digestOf(sharded), digestOf(plain))
+	}
+	found := false
+	for _, inc := range sharded.Incidents {
+		found = found || inc.WID == 4
+	}
+	if !found {
+		t.Fatalf("appended instance missing from the sharded answer: %s", digestOf(sharded))
+	}
+}

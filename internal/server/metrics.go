@@ -48,13 +48,10 @@ type metrics struct {
 	coalescedReloads atomic.Uint64
 
 	// Sharded-execution counters (zero unless Config.Shards is set): queries
-	// run shard-by-shard, per-shard retry attempts, shards excluded after
-	// exhausting retries, shards skipped by an open circuit breaker, results
-	// returned incomplete, and workflow instances those results excluded.
+	// run shard-by-shard, shards excluded by a fault, results returned
+	// incomplete, and workflow instances those results excluded.
 	shardedQueries atomic.Uint64
-	shardRetries   atomic.Uint64
 	shardsFailed   atomic.Uint64
-	shardsSkipped  atomic.Uint64
 	partialResults atomic.Uint64
 	widsExcluded   atomic.Uint64
 
@@ -225,12 +222,9 @@ type metricsDoc struct {
 	CoalescedReloads   uint64  `json:"coalesced_reloads"`
 	LogsQuarantined    int     `json:"logs_quarantined"`
 	ShardedQueries     uint64  `json:"sharded_queries"`
-	ShardRetries       uint64  `json:"shard_retries"`
 	ShardsFailed       uint64  `json:"shards_failed"`
-	ShardsSkipped      uint64  `json:"shards_skipped"`
 	PartialResults     uint64  `json:"partial_results"`
 	WIDsExcluded       uint64  `json:"wids_excluded"`
-	BreakersOpen       int     `json:"breakers_open"`
 	// Cluster is the distributed-tier section (nil on a single-node server
 	// that is not in worker mode).
 	Cluster *clusterMetricsDoc `json:"cluster,omitempty"`
@@ -328,10 +322,9 @@ func (s *Server) clusterMetrics() *clusterMetricsDoc {
 }
 
 // snapshot assembles the metrics document. workersPerQuery is the resolved
-// per-query worker count; breakersOpen is the live count of not-closed
-// per-shard circuit breakers; logs, cache and admission supply their own
+// per-query worker count; logs, cache and admission supply their own
 // gauges; cl is the cluster section (nil off-cluster).
-func (m *metrics) snapshot(logsLoaded, quarantined, workersPerQuery, breakersOpen int, cache *lru, adm *resilience.Admission, flight *flightrec.Recorder, cl *clusterMetricsDoc, ing *ingestMetricsDoc) metricsDoc {
+func (m *metrics) snapshot(logsLoaded, quarantined, workersPerQuery int, cache *lru, adm *resilience.Admission, flight *flightrec.Recorder, cl *clusterMetricsDoc, ing *ingestMetricsDoc) metricsDoc {
 	count, p50, p95, p99, max := m.lat.percentiles()
 	capacity := runtime.GOMAXPROCS(0)
 	busy := m.busyWorkers.Load()
@@ -362,12 +355,9 @@ func (m *metrics) snapshot(logsLoaded, quarantined, workersPerQuery, breakersOpe
 		CoalescedReloads:    m.coalescedReloads.Load(),
 		LogsQuarantined:     quarantined,
 		ShardedQueries:      m.shardedQueries.Load(),
-		ShardRetries:        m.shardRetries.Load(),
 		ShardsFailed:        m.shardsFailed.Load(),
-		ShardsSkipped:       m.shardsSkipped.Load(),
 		PartialResults:      m.partialResults.Load(),
 		WIDsExcluded:        m.widsExcluded.Load(),
-		BreakersOpen:        breakersOpen,
 		Cluster:             cl,
 		Ingest:              ing,
 		AdmissionCapacity:   adm.Capacity(),

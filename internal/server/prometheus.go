@@ -42,7 +42,7 @@ func (s *Server) writePrometheus(w http.ResponseWriter) {
 	s.mu.RLock()
 	loaded, quarantined := len(s.logs), len(s.quarantine)
 	s.mu.RUnlock()
-	doc := s.metrics.snapshot(loaded, quarantined, s.cfg.Workers, s.openBreakers(), s.cache, s.admission, s.flight, s.clusterMetrics(), s.ingestMetrics())
+	doc := s.metrics.snapshot(loaded, quarantined, s.cfg.Workers, s.cache, s.admission, s.flight, s.clusterMetrics(), s.ingestMetrics())
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 
@@ -76,18 +76,12 @@ func (s *Server) writePrometheus(w http.ResponseWriter) {
 		gauge(float64(doc.LogsQuarantined))...)
 	writeFamily(w, "wlq_sharded_queries_total", "Queries evaluated shard-by-shard in isolated failure domains.", "counter",
 		counter(doc.ShardedQueries)...)
-	writeFamily(w, "wlq_shard_retries_total", "Per-shard evaluation re-attempts (after backoff).", "counter",
-		counter(doc.ShardRetries)...)
-	writeFamily(w, "wlq_shards_failed_total", "Shards excluded from results after exhausting retries.", "counter",
+	writeFamily(w, "wlq_shards_failed_total", "Shards excluded from results by an evaluation fault.", "counter",
 		counter(doc.ShardsFailed)...)
-	writeFamily(w, "wlq_shards_skipped_total", "Shards excluded by an open circuit breaker (no attempt).", "counter",
-		counter(doc.ShardsSkipped)...)
 	writeFamily(w, "wlq_partial_results_total", "Queries whose result excluded at least one shard.", "counter",
 		counter(doc.PartialResults)...)
 	writeFamily(w, "wlq_wids_excluded_total", "Workflow instances excluded from partial results.", "counter",
 		counter(doc.WIDsExcluded)...)
-	writeFamily(w, "wlq_shard_breakers_open", "Per-shard circuit breakers currently open or half-open.", "gauge",
-		gauge(float64(doc.BreakersOpen))...)
 	writeFamily(w, "wlq_admission_capacity", "Admission controller in-flight query bound (0 = unlimited).", "gauge",
 		gauge(float64(doc.AdmissionCapacity))...)
 	writeFamily(w, "wlq_admission_in_flight", "Queries currently admitted.", "gauge",

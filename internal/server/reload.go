@@ -148,10 +148,6 @@ func (s *Server) reloadLogsLocked() (ReloadResult, error) {
 			e.ix = t.live.Monitor().Index()
 		} else {
 			e.ix = eval.NewIndex(l)
-			// The shard executor is rebuilt with the index: the new partition
-			// matches the new log, and breaker history bound to stale wid ranges
-			// is discarded with them.
-			e.shardex = s.newShardExecutor(e.ix)
 		}
 		fresh[t.name] = e
 		res.Reloaded = append(res.Reloaded, t.name)

@@ -108,22 +108,13 @@ type Config struct {
 	Loader func(spec string) (*wlog.Log, error)
 	// Shards, when non-zero, evaluates every query shard-by-shard: the log
 	// is partitioned into this many wid-range failure domains (negative =
-	// GOMAXPROCS), each with its own budget slice, panic isolation, retry
-	// loop and circuit breaker. A shard lost to a persistent fault is
-	// excluded from the result instead of failing the query; the response
-	// reports coverage via its completeness object (partial results are 206
-	// when the request opts in with "partial": true, 502 otherwise).
-	// 0 disables sharding (the single-domain paths).
+	// GOMAXPROCS), each run once with its own budget slice and panic
+	// isolation. A shard lost to a fault is excluded from the result
+	// instead of failing the query; the response reports coverage via its
+	// completeness object (partial results are 206 when the request opts in
+	// with "partial": true, 502 otherwise). 0 disables sharding (the
+	// single-domain paths).
 	Shards int
-	// ShardAttempts caps evaluation attempts per shard per query
-	// (0 = shard.DefaultMaxAttempts).
-	ShardAttempts int
-	// BreakerThreshold opens a shard's circuit breaker after this many
-	// consecutive failures (0 = shard.DefaultBreakerThreshold).
-	BreakerThreshold int
-	// BreakerCooldown is a tripped breaker's open → half-open delay
-	// (0 = shard.DefaultBreakerCooldown).
-	BreakerCooldown time.Duration
 	// FlightRecorderSize is the query flight recorder's per-ring capacity:
 	// the recorder keeps that many recent executions plus that many notable
 	// (slow or failed) ones. 0 means DefaultFlightRecorderSize; negative
@@ -150,9 +141,9 @@ type Config struct {
 	// per-log write-ahead log before it touches the in-memory index, and
 	// startup/reload replay the WAL so acknowledged records survive a
 	// process kill. Incompatible with WorkerMode and Cluster (a live log's
-	// contents would silently diverge across the fleet); live logs also
-	// bypass the in-process shard executor, whose wid-range partition is
-	// computed once per (re)load. See docs/DURABILITY.md.
+	// contents would silently diverge across the fleet). Shards still
+	// applies: the partition is taken per query under the monitor's read
+	// lock, so it always covers every applied record. See docs/DURABILITY.md.
 	Ingest bool
 	// WALDir is the root directory for WAL segments; each log gets its own
 	// subdirectory named after (a sanitized form of) the log name. Required
@@ -205,10 +196,6 @@ type logEntry struct {
 	valid  bool
 	reason string // validation error text when !valid
 	gen    uint64 // reload generation; part of the result-cache key
-	// shardex is the log's sharded executor (nil when Config.Shards is 0).
-	// It lives as long as the entry, so per-shard circuit-breaker history
-	// persists across queries; a reload replaces it together with the index.
-	shardex *shard.Executor
 	// live is the log's durable ingest coordinator (nil unless
 	// Config.Ingest). Unlike the rest of the entry it is long-lived shared
 	// state: a hot reload rebases the SAME coordinator onto the fresh
@@ -232,8 +219,8 @@ type Server struct {
 	metrics    *metrics
 
 	// coord is the cluster coordinator (nil for single-node service). It is
-	// long-lived shared state like the shard executors: per-worker breakers
-	// and health verdicts persist across queries and hot reloads.
+	// long-lived shared state: per-worker breakers and health verdicts
+	// persist across queries and hot reloads.
 	coord *cluster.Coordinator
 
 	// flight is the query flight recorder (nil when disabled by a negative
@@ -353,45 +340,17 @@ func (s *Server) AddLog(name, source string, l *wlog.Log) error {
 		}
 	} else {
 		e.ix = eval.NewIndex(l)
-		e.shardex = s.newShardExecutor(e.ix)
 	}
 	s.logs[name] = e
 	s.names = append(s.names, name)
 	return nil
 }
 
-// newShardExecutor builds a log's sharded executor from the server config,
-// or nil when sharded execution is disabled.
-func (s *Server) newShardExecutor(ix *eval.Index) *shard.Executor {
-	// A coordinator's failure domains are the workers; in-process shards on
-	// top would partition twice for no added isolation.
-	if s.cfg.Shards == 0 || s.coord != nil {
-		return nil
-	}
-	n := s.cfg.Shards
-	if n < 0 {
-		n = 0 // shard.Partition resolves 0 to GOMAXPROCS
-	}
-	return shard.NewExecutor(ix, shard.Config{
-		Shards:           n,
-		MaxAttempts:      s.cfg.ShardAttempts,
-		BreakerThreshold: s.cfg.BreakerThreshold,
-		BreakerCooldown:  s.cfg.BreakerCooldown,
-	})
-}
-
-// openBreakers sums the not-closed circuit breakers across every loaded
-// log's shard executor — the "poisoned shards" gauge at /metrics.
-func (s *Server) openBreakers() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	open := 0
-	for _, e := range s.logs {
-		if e.shardex != nil {
-			open += e.shardex.OpenBreakers()
-		}
-	}
-	return open
+// sharded reports whether queries run in in-process shards. A
+// coordinator's failure domains are the workers; in-process shards on top
+// would partition twice for no added isolation.
+func (s *Server) sharded() bool {
+	return s.cfg.Shards != 0 && s.coord == nil
 }
 
 // lookup resolves a log name; a single loaded log may be addressed with an
@@ -756,7 +715,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	capture.Log = entry.name
 	capture.Generation = entry.gen
-	capture.Sharded = entry.shardex != nil
+	capture.Sharded = s.sharded()
 	// A live log's index mutates under appends; freeze it for the whole
 	// request — planning, evaluation, AND the cache put. Holding the read
 	// lock across the put closes the stale-entry race: an append can only
@@ -908,16 +867,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			if comp != nil {
 				s.metrics.widsExcluded.Add(uint64(comp.ExcludedWIDs))
 			}
-		} else if entry.shardex != nil {
+		} else if s.sharded() {
 			// Sharded execution: each shard is its own failure domain with a
-			// budget slice, retry loop and circuit breaker; a lost shard
-			// yields a partial result instead of a failed query.
+			// budget slice and panic isolation; a lost shard yields a partial
+			// result instead of a failed query.
 			s.metrics.shardedQueries.Add(1)
-			set, comp, err = entry.shardex.Execute(ctx, plan, opts, &qs)
-			s.metrics.shardRetries.Add(uint64(qs.ShardRetries))
+			set, comp, err = shard.Execute(ctx, entry.ix, max(s.cfg.Shards, 0), plan, opts, &qs)
 			if comp != nil {
 				s.metrics.shardsFailed.Add(uint64(comp.Failed))
-				s.metrics.shardsSkipped.Add(uint64(comp.Skipped))
 				s.metrics.widsExcluded.Add(uint64(comp.ExcludedWIDs))
 			}
 		} else {
@@ -1372,6 +1329,5 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	loaded, quarantined := len(s.logs), len(s.quarantine)
 	s.mu.RUnlock()
 	writeJSON(w, http.StatusOK,
-		s.metrics.snapshot(loaded, quarantined, s.cfg.Workers, s.openBreakers(),
-			s.cache, s.admission, s.flight, s.clusterMetrics(), s.ingestMetrics()))
+		s.metrics.snapshot(loaded, quarantined, s.cfg.Workers, s.cache, s.admission, s.flight, s.clusterMetrics(), s.ingestMetrics()))
 }

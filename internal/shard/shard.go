@@ -18,14 +18,13 @@
 //   - a budget slice split from the query budget (work dimensions divided
 //     across shards; wall time shared, since shards run concurrently);
 //   - panic isolation reusing the eval worker boundary, so one poisoned
-//     instance fails one shard, not the process;
-//   - a per-shard deadline, retry with capped exponential backoff and
-//     jitter for retryable faults, and a circuit breaker that stops
-//     retrying a persistently poisoned shard.
+//     instance fails one shard, not the process.
 //
-// Everything time-dependent rides the resilience clock seam and the
-// Config.Sleep/Config.Rand seams, so backoff and breaker transitions are
-// deterministically testable without sleeping.
+// A shard runs exactly once per query. Evaluation is deterministic per wid,
+// so re-running a shard that panicked or tripped its budget replays the
+// same fault on the same input; retries, backoff and circuit breakers
+// belong to the network tier (internal/cluster), the only one that fails
+// transiently. Gather is the scatter-gather both tiers share.
 package shard
 
 import (
@@ -33,57 +32,19 @@ import (
 	"runtime"
 )
 
-// Policy selects how wids are assigned to shards.
-type Policy int
-
-// Partitioning policies.
-const (
-	// PolicyRange assigns contiguous wid ranges to shards (the default).
-	// Range shards keep the global incident order: concatenating shard
-	// results in shard order is already canonical, and a failed shard
-	// excludes one describable wid interval.
-	PolicyRange Policy = iota
-	// PolicyHash assigns wids by hash, spreading hot instances across
-	// shards at the cost of interleaved ranges (the merged result is
-	// re-normalized, and an excluded "range" is a scattered set reported
-	// by its min/max envelope).
-	PolicyHash
-)
-
-// String names the policy.
-func (p Policy) String() string {
-	switch p {
-	case PolicyRange:
-		return "range"
-	case PolicyHash:
-		return "hash"
-	default:
-		return fmt.Sprintf("Policy(%d)", int(p))
-	}
-}
-
-// ParsePolicy resolves a policy name as accepted by CLI flags.
-func ParsePolicy(name string) (Policy, error) {
-	switch name {
-	case "", "range":
-		return PolicyRange, nil
-	case "hash":
-		return PolicyHash, nil
-	default:
-		return 0, fmt.Errorf("unknown shard policy %q (want range or hash)", name)
-	}
-}
-
-// Shard is one partition of a log's workflow instances.
+// Shard is one failure domain of a fan-out: a disjoint set of a log's
+// workflow instances.
 type Shard struct {
 	// ID is the shard's index, 0-based.
 	ID int
 	// WIDs are the member instance ids, ascending.
 	WIDs []uint64
-	// MinWID and MaxWID bound the members. Under PolicyRange the shard
-	// owns the whole interval; under PolicyHash the interval is only an
-	// envelope around the scattered members.
+	// MinWID and MaxWID bound the members. A Partition shard owns the whole
+	// interval; a cluster worker's scattered set only has it as an envelope.
 	MinWID, MaxWID uint64
+	// Worker names the remote node that owns the shard, for distributed
+	// execution (internal/cluster); empty for in-process shards.
+	Worker string
 }
 
 // RangeString renders the shard's wid coverage for error causes and logs.
@@ -97,28 +58,13 @@ func (s Shard) RangeString() string {
 	return fmt.Sprintf("wids %d–%d", s.MinWID, s.MaxWID)
 }
 
-// hashWID is FNV-1a over the wid's little-endian bytes. Deliberately not
-// maphash: the partition must be stable across processes, so operators can
-// correlate a shard id (and its excluded wids) across restarts and replicas.
-func hashWID(wid uint64) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < 8; i++ {
-		h ^= wid >> (8 * i) & 0xff
-		h *= prime64
-	}
-	return h
-}
-
-// Partition splits wids into at most n shards under the policy; n <= 0
-// means GOMAXPROCS. Empty shards are dropped, so the result may have fewer
-// than n entries (never more); each returned shard's WIDs are ascending.
-// The input slice is not modified and must be ascending (eval.Index.WIDs
-// guarantees it).
-func Partition(wids []uint64, n int, policy Policy) []Shard {
+// Partition splits wids into at most n contiguous ranges; n <= 0 means
+// GOMAXPROCS. Empty shards are never produced, so the result may have fewer
+// than n entries (never more). Range shards keep the global incident order:
+// concatenating shard results in shard order is already canonical, and a
+// failed shard excludes one describable wid interval. The input slice is
+// not modified and must be ascending (eval.Index.WIDs guarantees it).
+func Partition(wids []uint64, n int) []Shard {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
@@ -128,37 +74,15 @@ func Partition(wids []uint64, n int, policy Policy) []Shard {
 	if n == 0 {
 		return nil
 	}
-	buckets := make([][]uint64, n)
-	switch policy {
-	case PolicyHash:
-		for _, wid := range wids {
-			i := int(hashWID(wid) % uint64(n))
-			buckets[i] = append(buckets[i], wid)
-		}
-	default: // PolicyRange
-		chunk := (len(wids) + n - 1) / n
-		for i := 0; i < n; i++ {
-			lo := i * chunk
-			if lo >= len(wids) {
-				break
-			}
-			hi := lo + chunk
-			if hi > len(wids) {
-				hi = len(wids)
-			}
-			buckets[i] = wids[lo:hi:hi]
-		}
-	}
+	chunk := (len(wids) + n - 1) / n
 	shards := make([]Shard, 0, n)
-	for _, b := range buckets {
-		if len(b) == 0 {
-			continue
-		}
+	for lo := 0; lo < len(wids); lo += chunk {
+		hi := min(lo+chunk, len(wids))
 		shards = append(shards, Shard{
 			ID:     len(shards),
-			WIDs:   b,
-			MinWID: b[0],
-			MaxWID: b[len(b)-1],
+			WIDs:   wids[lo:hi:hi],
+			MinWID: wids[lo],
+			MaxWID: wids[hi-1],
 		})
 	}
 	return shards

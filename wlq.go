@@ -352,19 +352,15 @@ func (e *Engine) QueryPattern(p Pattern) *IncidentSet {
 // returned Completeness says exactly which wid ranges the result covers;
 // with no faults it is Complete and the set equals Query's output exactly.
 // An error is returned only when the query as a whole is lost (parse error,
-// cancelled context, or zero surviving shards).
-//
-// Each call builds a fresh one-shot executor, so circuit-breaker history
-// does not persist across calls; long-lived breaker state is a property of
-// the query service (wlq-serve), which keeps one executor per loaded log.
+// cancelled context, or zero surviving shards). Each shard runs once:
+// evaluation is deterministic, so a retry would replay the same fault.
 func (e *Engine) QuerySharded(ctx context.Context, query string, shards int) (*IncidentSet, *Completeness, error) {
 	p, err := e.prepare(query)
 	if err != nil {
 		return nil, nil, err
 	}
 	opts := eval.Options{Strategy: e.strategy, Limit: e.limit, Budget: e.budget}
-	x := shard.NewExecutor(e.ix, shard.Config{Shards: shards})
-	return x.Execute(ctx, p, opts, nil)
+	return shard.Execute(ctx, e.ix, shards, p, opts, nil)
 }
 
 // Exists reports whether any incident of the query exists, short-circuiting
